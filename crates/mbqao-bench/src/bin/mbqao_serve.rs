@@ -3,12 +3,13 @@
 //! Reads newline-delimited request frames on stdin (`submit` / `ping` /
 //! `shutdown`, mini-JSON per `mbqao_core::engine::wire`), schedules
 //! each job's shards onto a supervised persistent worker pool
-//! (heartbeats, automatic restarts, poison-shard quarantine — see
-//! `docs/SERVE.md`), and writes event frames on stdout as the job
-//! progresses: `accepted`, one `partial` per merged shard in
-//! completion order, `requeue` for every retry or straggler
-//! re-partition, `quarantined` for dead-lettered shards, and a final
-//! `done` carrying the assembled output plus per-job stats. With
+//! (heartbeats, automatic restarts, poison-shard quarantine, and a
+//! circuit breaker that fails jobs fast — see `docs/SERVE.md`), and
+//! writes event frames on stdout as the job progresses: `accepted`,
+//! one `partial` per merged shard in completion order, `requeue` for
+//! every retry or straggler re-partition, `quarantined` for
+//! dead-lettered shards, and a final `done` carrying the assembled
+//! output plus per-job stats. With
 //! `--journal DIR` every landed partial is write-ahead logged so an
 //! interrupted job can be completed later with `--resume`.
 //!
@@ -16,11 +17,10 @@
 //! ```text
 //! mbqao-serve [--cap N] [--max-jobs N] [--retries N] [--backoff-ms MS]
 //!             [--straggler-ms MS] [--queue N] [--quiet]
-//!             [--no-pool] [--quarantine K] [--allow-partial]
-//!             [--journal DIR]
+//!             [--quarantine K] [--allow-partial] [--journal DIR]
 //! mbqao-serve --resume PATH [--check] [--quiet] [...]
 //!                          # replay a job-<id>.wal and finish the job
-//! mbqao-serve --worker     # internal: worker, JSON over stdio
+//! mbqao-serve --worker     # internal: pool worker, JSON frames over stdio
 //! ```
 //!
 //! Example session (one 2-shard landscape job, then shutdown):
@@ -45,7 +45,6 @@ fn main() {
     }
     let mut config = ServeConfig {
         log: !args.iter().any(|a| a == "--quiet"),
-        pool: !args.iter().any(|a| a == "--no-pool"),
         allow_partial: args.iter().any(|a| a == "--allow-partial"),
         ..ServeConfig::default()
     };
@@ -84,17 +83,12 @@ fn main() {
     }
     if config.log {
         eprintln!(
-            "serve: listening on stdin (cap {}, max jobs {}, {} attempts, base backoff {:?}, queue {}, {})",
+            "serve: listening on stdin (cap {}, max jobs {}, {} attempts, base backoff {:?}, queue {})",
             config.cap,
             config.max_jobs,
             config.retry.max_attempts,
             config.retry.base,
             config.max_queue,
-            if config.pool {
-                "persistent worker pool"
-            } else {
-                "one-shot workers"
-            }
         );
     }
     let stats = serve(
@@ -121,11 +115,9 @@ fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
         }
         let _ = write_frame(&mut out, &event.to_wire());
     };
-    let pool = config.pool.then(|| spawn_pool(exe, config));
-    let outcome = resume_job(exe, pool.as_ref(), path, config, &mut emit);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
+    let pool = spawn_pool(exe, config);
+    let outcome = resume_job(exe, &pool, path, config, &mut emit);
+    pool.shutdown();
     match outcome {
         Ok((id, workload, output, stats)) => {
             let bit_identical = check.then(|| output.bit_identical(&monolithic(&workload)));

@@ -16,9 +16,7 @@
 //! cargo run --release -p mbqao-bench --bin perf_report -- --out /tmp/bench.json
 //! ```
 
-use mbqao_bench::serve::{
-    run_job, run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest,
-};
+use mbqao_bench::serve::{run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest};
 use mbqao_bench::sweep::{BackendKind, FamilyRef, Fault, Workload};
 use mbqao_core::engine::wire::{write_frame, Value};
 use mbqao_core::engine::{Backend, Executor, GateBackend, PatternBackend, PauliBackend, ZxBackend};
@@ -308,77 +306,16 @@ fn main() {
         }
     }
 
-    // Orchestrator dispatch overhead, per-attempt lane: one tiny
-    // 2-shard job through the one-shot fleet path (partition → bounded
-    // fleet → subprocess spawn → wire round trip → streaming merge).
-    // The sweep itself is trivial (2×2 gate landscape), so the time is
-    // almost entirely the orchestration cost a job pays before any
-    // real work. `pool: false` keeps this point comparable across the
-    // trajectory — the pool lane is measured by `worker_pool_dispatch`
-    // below. Skipped when the sibling `mbqao-serve` binary is absent
+    // Worker-pool dispatch: one tiny 2-shard pattern-backend job
+    // through a persistent, connection-scoped pool (partition → frame
+    // write to a warm, affinity-routed worker → wire round trip →
+    // streaming merge). The sweep itself is trivial (2×2 landscape),
+    // so the time is almost entirely the orchestration cost a job pays
+    // before any real work. Pattern backend so the per-process
+    // compiled-pattern cache matters: the hit rate climbs across reps
+    // because the workers that compiled the pattern keep getting its
+    // shards. Skipped when the sibling `mbqao-serve` binary is absent
     // (e.g. `--only` builds).
-    if enabled("serve_dispatch") {
-        let serve_exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| {
-                Some(
-                    p.parent()?
-                        .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-                )
-            })
-            .filter(|p| p.is_file());
-        match serve_exe {
-            None => eprintln!(
-                "  {:<28} skipped (mbqao-serve binary not built)",
-                "serve_dispatch"
-            ),
-            Some(exe) => {
-                let workload = Workload::Landscape {
-                    family: FamilyRef {
-                        seed: 7,
-                        name: "square".into(),
-                    },
-                    backend: BackendKind::Gate,
-                    steps: 2,
-                    gamma: (0.0, 1.0),
-                    beta: (0.0, 1.0),
-                };
-                let config = ServeConfig {
-                    cap: 2,
-                    log: false,
-                    pool: false,
-                    ..ServeConfig::default()
-                };
-                results.push(Measurement::run(
-                    "serve_dispatch",
-                    "2x2 gate landscape as a 2-shard mbqao-serve job (orchestration overhead)"
-                        .into(),
-                    "job",
-                    1,
-                    warmup,
-                    reps,
-                    || {
-                        let (out, stats) =
-                            run_job(&exe, 0, &workload, 2, &[], &config, &mut |_| {})
-                                .expect("dispatch job");
-                        assert!(stats.max_live <= 2);
-                        std::hint::black_box(out);
-                    },
-                ));
-            }
-        }
-    }
-
-    // Worker-pool dispatch, interleaved A/B against the per-attempt
-    // lane: the SAME tiny 2-shard pattern-backend job alternates
-    // between the persistent pool (frame write to a warm process,
-    // affinity-routed) and a one-shot subprocess per attempt (spawn +
-    // cold compile every time), so OS noise hits both lanes alike
-    // within each rep. Pattern backend so the per-process compiled-
-    // pattern cache matters: the pool lane's hit rate climbs across
-    // reps (the workers that compiled the pattern keep getting its
-    // shards), while the per-attempt lane is 0% by construction —
-    // every attempt is a fresh process.
     if enabled("worker_pool_dispatch") {
         let serve_exe = std::env::current_exe()
             .ok()
@@ -405,84 +342,63 @@ fn main() {
                     gamma: (0.0, 1.0),
                     beta: (0.0, 1.0),
                 };
-                let pool_config = ServeConfig {
+                let config = ServeConfig {
                     cap: 2,
                     log: false,
                     ..ServeConfig::default()
                 };
-                let solo_config = ServeConfig {
-                    pool: false,
-                    ..pool_config.clone()
-                };
-                let pool = spawn_pool(&exe, &pool_config);
-                let run = |id: u64, pooled: bool| {
+                let pool = spawn_pool(&exe, &config);
+                let run = |id: u64| {
                     let spec = JobSpec {
                         id,
                         workload: &workload,
                         shards: 2,
                         faults: &[],
                     };
-                    let (pool, config) = if pooled {
-                        (Some(&pool), &pool_config)
-                    } else {
-                        (None, &solo_config)
-                    };
                     let t0 = Instant::now();
-                    let (out, stats) = run_job_with(&exe, pool, &spec, config, None, &mut |_| {})
+                    let (out, stats) = run_job_with(&exe, &pool, &spec, &config, None, &mut |_| {})
                         .expect("dispatch job");
                     assert!(stats.max_live <= 2);
                     std::hint::black_box(out);
                     (t0.elapsed().as_secs_f64(), stats)
                 };
-                // Warm both lanes (and the pool's pattern caches) once.
+                // Warm the pool's workers and pattern caches.
                 let mut id = 0;
                 for _ in 0..warmup.max(1) {
-                    run(id, true);
-                    run(id + 1, false);
-                    id += 2;
+                    run(id);
+                    id += 1;
                 }
-                let mut secs = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-                let (mut hits, mut misses) = ((0usize, 0usize), (0usize, 0usize));
+                let mut secs = Vec::with_capacity(reps);
+                let (mut hits, mut misses) = (0usize, 0usize);
                 for _ in 0..reps {
-                    let (t, s) = run(id, true);
-                    secs.0.push(t);
-                    hits.0 += s.cache_hits;
-                    misses.0 += s.cache_misses;
-                    let (t, s) = run(id + 1, false);
-                    secs.1.push(t);
-                    hits.1 += s.cache_hits;
-                    misses.1 += s.cache_misses;
-                    id += 2;
+                    let (t, s) = run(id);
+                    secs.push(t);
+                    hits += s.cache_hits;
+                    misses += s.cache_misses;
+                    id += 1;
                 }
                 pool.shutdown();
-                let rate = |h: usize, m: usize| 100.0 * h as f64 / (h + m).max(1) as f64;
-                for (name, s, hit, miss) in [
-                    ("worker_pool_dispatch", secs.0, hits.0, misses.0),
-                    ("worker_pool_dispatch_oneshot", secs.1, hits.1, misses.1),
-                ] {
-                    let m = Measurement {
-                        name,
-                        detail: format!(
-                            "2x2 pattern landscape, 2-shard job, interleaved A/B; \
-                             cache-hit rate {:.0}% ({hit} hits / {miss} misses)",
-                            rate(hit, miss)
-                        ),
-                        unit: "job",
-                        iters: 1,
-                        warmup,
-                        reps,
-                        secs_per_iter: s,
-                    };
-                    eprintln!(
-                        "  {:<28} {:>12.3} µs/{} (min over {} reps, cache-hit {:.0}%)",
-                        m.name,
-                        m.min() * 1e6,
-                        m.unit,
-                        m.reps,
-                        rate(hit, miss)
-                    );
-                    results.push(m);
-                }
+                let rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
+                let m = Measurement {
+                    name: "worker_pool_dispatch",
+                    detail: format!(
+                        "2x2 pattern landscape, 2-shard job on a warm pool; \
+                         cache-hit rate {rate:.0}% ({hits} hits / {misses} misses)"
+                    ),
+                    unit: "job",
+                    iters: 1,
+                    warmup,
+                    reps,
+                    secs_per_iter: secs,
+                };
+                eprintln!(
+                    "  {:<28} {:>12.3} µs/{} (min over {} reps, cache-hit {rate:.0}%)",
+                    m.name,
+                    m.min() * 1e6,
+                    m.unit,
+                    m.reps,
+                );
+                results.push(m);
             }
         }
     }

@@ -1,9 +1,9 @@
 //! `sweep_shard` — the multi-process sharded sweep driver (and its own
 //! worker).
 //!
-//! The driver partitions a sweep into shards, re-invokes **this binary**
-//! with `--worker` once per shard (JSON job on stdin, JSON result on
-//! stdout — floats travel as exact bit patterns, see
+//! The driver partitions a sweep into shards, runs them on a pool of
+//! worker processes of **this binary** (`--worker`; JSON job and result
+//! frames over stdio — floats travel as exact bit patterns, see
 //! `mbqao_core::engine::wire`), merges the results in canonical order,
 //! and prints the assembled output. `--check` additionally runs the
 //! same sweep monolithically in-process and asserts the sharded result
@@ -16,8 +16,7 @@
 //! sweep_shard --workload resources --max-n 5 --depths 1,2 --shards 3 --check
 //! sweep_shard --workload equivalence --max-n 5 --shards 2
 //! sweep_shard --workload disorder --n 6 --instances 8 --shards 4
-//! sweep_shard --worker                 # internal: one shard, JSON over stdio
-//! sweep_shard --worker --persistent    # internal: pool worker, many jobs + heartbeats
+//! sweep_shard --worker    # internal: pool worker, many jobs + heartbeats
 //! ```
 //! Sharded runs of `resources` / `equivalence` reproduce the
 //! `table_resources` / `table_equivalence` output byte-for-byte.
@@ -41,7 +40,7 @@ fn main() {
         flag(&args, "--cap").map_or_else(default_worker_cap, |v| v.parse().expect("--cap N"));
     let exe = std::env::current_exe().expect("current_exe");
     eprintln!(
-        "driving {} items as {} worker subprocesses of {} (at most {cap} live)",
+        "driving {} items as {} shards on worker subprocesses of {} (at most {cap} live)",
         workload.total(),
         shards,
         exe.display()

@@ -1,6 +1,6 @@
 //! The always-on sweep orchestrator behind the `mbqao-serve` binary:
 //! job specs arrive as newline-delimited wire frames, shards are
-//! scheduled onto a **bounded** worker fleet, merged partials stream
+//! scheduled onto a **bounded** worker pool, merged partials stream
 //! back as they land, and a retry policy (exponential backoff, plus
 //! straggler kill + re-partition) turns transient worker failures into
 //! completed jobs whose output is still **bit-identical** to the
@@ -11,17 +11,19 @@
 //! Layering:
 //!
 //! * [`run_job`] executes one job end to end: partition → submit to a
-//!   [`Fleet`] capped at `cap` live workers → merge **on readiness**
-//!   (streaming a [`Event::Partial`] per landed shard) → retry failed
-//!   shards with backoff ([`Event::Requeue`]) → kill and split shards
-//!   that exceed the straggler deadline → assemble.
+//!   supervised [`WorkerPool`] capped at `cap` live workers → merge
+//!   **on readiness** (streaming a [`Event::Partial`] per landed
+//!   shard) → retry failed shards with backoff ([`Event::Requeue`]) →
+//!   kill and split shards that exceed the straggler deadline →
+//!   assemble. An open circuit breaker fails the job fast.
 //! * [`serve`] is the long-running loop: a reader thread parses
-//!   request frames and applies **admission control** (a bounded job
-//!   queue; overload is an immediate [`Event::Rejected`], never
-//!   unbounded memory), while the scheduler drains the queue with
-//!   **cache-affinity**: among queued jobs it prefers one sharing the
-//!   last job's [`Workload::cache_key`], keeping compiled-pattern
-//!   caches hot across consecutive jobs.
+//!   request frames, and one scheduler thread blocks on a single
+//!   channel carrying both those requests and the pool's verdicts. It
+//!   applies **admission control** (a bounded job queue; overload is
+//!   an immediate [`Event::Rejected`], never unbounded memory) and
+//!   drains the queue with **cache-affinity**: among queued jobs it
+//!   prefers one sharing the last job's [`Workload::cache_key`],
+//!   keeping compiled-pattern caches hot across consecutive jobs.
 //! * Every event is one wire frame on the response stream (and
 //!   optionally one human-readable line on stderr) — per-shard
 //!   latency, attempt counts, retry/re-partition decisions and cache
@@ -31,13 +33,13 @@
 //! See `docs/SERVE.md` for the protocol reference.
 
 use crate::sweep::{
-    assemble, hole_payload, job_to_json_attempt, monolithic, result_from_json, Fault, Payload,
+    assemble, decode_worker_result, hole_payload, job_to_json_attempt, monolithic, Fault, Payload,
     SweepOutput, Workload,
 };
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, Fleet, FleetJob, FleetOutcome, FleetStats, Merger,
-    PoolConfig, PoolJob, PoolOutcome, PoolStats, Provenance, RetryPolicy, Shard, ShardError,
-    ShardResult, WorkerCommand, WorkerPool, AFFINITY_STREAK_BOUND,
+    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, PoolOutcome, PoolStats,
+    Provenance, RetryPolicy, Shard, ShardError, ShardResult, WorkerCommand, WorkerPool,
+    AFFINITY_STREAK_BOUND,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, Value, WireError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -45,7 +47,7 @@ use std::fs;
 use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 // ---------------------------------------------------------------- config
@@ -53,7 +55,7 @@ use std::time::Duration;
 /// Tuning knobs of the orchestrator.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum simultaneously live worker processes per job.
+    /// Maximum simultaneously live worker processes.
     pub cap: usize,
     /// Per-shard retry policy (attempts + exponential backoff).
     pub retry: RetryPolicy,
@@ -72,12 +74,6 @@ pub struct ServeConfig {
     pub max_jobs: usize,
     /// Mirror every emitted event as a human-readable stderr line.
     pub log: bool,
-    /// Schedule shards onto a supervised persistent [`WorkerPool`]
-    /// (heartbeats, restarts, affinity routing) instead of one
-    /// subprocess per attempt. When the pool's circuit breaker opens
-    /// mid-job, execution degrades to the per-attempt [`Fleet`] path
-    /// (counted in [`JobStats::degraded`]).
-    pub pool: bool,
     /// Poison-shard threshold: a shard whose job kills this many
     /// successive pool workers is quarantined (dead-lettered) instead
     /// of retried forever.
@@ -103,7 +99,6 @@ impl Default for ServeConfig {
             max_queue: 16,
             max_jobs: 4,
             log: false,
-            pool: true,
             quarantine_after: 3,
             allow_partial: false,
             journal_dir: None,
@@ -121,13 +116,6 @@ pub fn pool_config(config: &ServeConfig) -> PoolConfig {
         quarantine_after: config.quarantine_after,
         ..PoolConfig::default()
     }
-}
-
-/// Builds the persistent worker pool for a serve connection
-/// (re-invokes `exe --worker`, which the pool extends with
-/// `--persistent --gen N --heartbeat-ms M`).
-pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> WorkerPool {
-    WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool_config(config))
 }
 
 // ----------------------------------------------------------------- stats
@@ -157,9 +145,6 @@ pub struct JobStats {
     /// Pool workers that died (crash, liveness kill, straggler kill)
     /// and were restarted by the supervisor during this job.
     pub worker_restarts: usize,
-    /// Shard attempts rerouted from the persistent pool to the
-    /// per-attempt subprocess path (pool unavailable or circuit open).
-    pub degraded: usize,
     /// Shards abandoned by poison-shard quarantine (partial coverage).
     pub quarantined: usize,
     /// Shards replayed from a crash-safe journal instead of re-run.
@@ -195,7 +180,6 @@ impl JobStats {
             ("cache_hits", Value::uint(self.cache_hits)),
             ("cache_misses", Value::uint(self.cache_misses)),
             ("worker_restarts", Value::uint(self.worker_restarts)),
-            ("degraded", Value::uint(self.degraded)),
             ("quarantined", Value::uint(self.quarantined)),
             ("replayed", Value::uint(self.replayed)),
             (
@@ -681,6 +665,15 @@ impl JobJournal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// A second handle on the same open journal; it shares the file
+    /// offset, so appends through either land in order.
+    fn try_clone(&self) -> std::io::Result<JobJournal> {
+        Ok(JobJournal {
+            path: self.path.clone(),
+            file: self.file.try_clone()?,
+        })
+    }
 }
 
 /// A loaded journal: the job header plus every intact replayed partial.
@@ -749,9 +742,11 @@ pub fn load_journal(path: &Path) -> Result<JournalReplay, WireError> {
 
 // ----------------------------------------------------------- job engine
 
-/// A submission in flight on the fleet (possibly one of several
+/// A submission in flight on the pool (possibly one of several
 /// attempts for its range).
 struct InFlight {
+    /// Id of the job the attempt belongs to.
+    job: u64,
     shard: Shard,
     attempt: u32,
     fault: Option<Fault>,
@@ -784,45 +779,6 @@ pub struct JobSpec<'a> {
     pub faults: &'a [(usize, Fault)],
 }
 
-/// A lane-agnostic verdict: [`PoolOutcome`] and [`FleetOutcome`]
-/// normalized to one shape.
-struct Verdict {
-    tag: u64,
-    result: Result<String, ShardError>,
-    timed_out: bool,
-    quarantined: bool,
-    circuit_open: bool,
-    elapsed: Duration,
-}
-
-impl Verdict {
-    fn from_pool(o: PoolOutcome) -> Verdict {
-        Verdict {
-            tag: o.tag,
-            result: o.result,
-            timed_out: o.timed_out,
-            quarantined: o.quarantined,
-            circuit_open: o.circuit_open,
-            elapsed: o.elapsed,
-        }
-    }
-
-    fn from_fleet(o: FleetOutcome) -> Verdict {
-        Verdict {
-            tag: o.tag,
-            result: o.result,
-            timed_out: o.timed_out,
-            quarantined: false,
-            circuit_open: false,
-            elapsed: o.elapsed,
-        }
-    }
-}
-
-/// How long the unified receive loop waits on one lane before polling
-/// the other when both have jobs in flight.
-const RECV_POLL: Duration = Duration::from_millis(5);
-
 /// Pool shard-index namespace stride. Concurrent jobs both have a
 /// shard 0; without an offset their kill counts would alias in the
 /// pool's per-shard quarantine ledger and one tenant's poison shard
@@ -831,197 +787,68 @@ const RECV_POLL: Duration = Duration::from_millis(5);
 /// points use namespace 0, passing indices through unchanged.
 const JOB_NS_STRIDE: usize = 1 << 20;
 
-/// Routes shard attempts from any number of concurrent jobs onto the
-/// two execution lanes — the shared persistent [`WorkerPool`]
-/// (preferred: warm caches, affinity routing) and a lazily created
-/// per-attempt [`Fleet`] (the degraded path when no pool is available
-/// or its circuit breaker opens) — and demuxes outcomes back to their
-/// jobs by tag. Tags are unique for the dispatcher's whole lifetime,
-/// so a failed job's late outcomes can never be mistaken for a later
-/// job's (the per-job tag counter of the old single-job engine made
-/// exactly that collision possible).
-struct Dispatcher<'a> {
-    exe: &'a Path,
-    pool: Option<&'a WorkerPool>,
-    config: &'a ServeConfig,
-    /// Tag → (job id, attempt bookkeeping).
-    inflight: HashMap<u64, (u64, InFlight)>,
-    next_tag: u64,
-    use_pool: bool,
-    pool_live: usize,
-    fleet: Option<Fleet>,
-    fleet_live: usize,
+/// Everything the scheduler reacts to, in arrival order on **one**
+/// channel: requests parsed by [`serve`]'s reader thread and the
+/// pool's verdicts. The scheduler blocks on that channel and nothing
+/// else, so it wakes exactly when there is something to do.
+enum Msg {
+    Submit(Box<SubmitRequest>),
+    /// The reader saw a `shutdown` frame or input EOF.
+    Closed,
+    Verdict(PoolOutcome),
 }
 
-impl<'a> Dispatcher<'a> {
-    fn new(exe: &'a Path, pool: Option<&'a WorkerPool>, config: &'a ServeConfig) -> Dispatcher<'a> {
-        Dispatcher {
-            exe,
-            pool,
-            config,
-            inflight: HashMap::new(),
-            next_tag: 0,
-            use_pool: pool.is_some_and(|p| !p.is_tripped()),
-            pool_live: 0,
-            fleet: None,
-            fleet_live: 0,
-        }
-    }
-
-    /// Submissions not yet resolved, across all jobs.
-    fn live(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn submit(
-        &mut self,
-        job: &mut JobRun,
-        shard: Shard,
-        attempt: u32,
-        fault: Option<Fault>,
-        delay: Duration,
-    ) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let mut input = job_to_json_attempt(&job.workload, shard, fault, attempt);
-        self.inflight.insert(
-            tag,
-            (
-                job.id,
-                InFlight {
-                    shard,
-                    attempt,
-                    fault,
-                },
-            ),
-        );
-        job.inflight += 1;
-        if self.use_pool {
-            let pool = self.pool.expect("use_pool implies a pool");
-            match pool.submit(PoolJob {
-                tag,
-                shard_index: job.ns * JOB_NS_STRIDE + shard.index,
-                input,
-                cache_key: job.cache_key.clone(),
-                delay,
-            }) {
-                Ok(()) => {
-                    self.pool_live += 1;
-                    return;
-                }
-                // The breaker tripped since we last looked: degrade
-                // this and every later submission to the fleet path.
-                Err(rejected) => {
-                    self.use_pool = false;
-                    job.stats.degraded += 1;
-                    input = rejected.input;
-                }
-            }
-        }
-        let fleet = self.fleet.get_or_insert_with(|| {
-            Fleet::new(
-                WorkerCommand::new(self.exe, &["--worker"]),
-                self.config.cap,
-                self.config.straggler_deadline,
-            )
-        });
-        fleet
-            .submit(FleetJob {
-                tag,
-                shard_index: job.ns * JOB_NS_STRIDE + shard.index,
-                input,
-                delay,
-            })
-            .unwrap_or_else(|_| unreachable!("fleet outlives the dispatcher"));
-        self.fleet_live += 1;
-    }
-
-    fn demux(&mut self, verdict: Verdict) -> (u64, InFlight, Verdict) {
-        let (job, flight) = self
-            .inflight
-            .remove(&verdict.tag)
-            .expect("every outcome matches a submission");
-        (job, flight, verdict)
-    }
-
-    /// Next verdict from whichever lane produces one, blocking while
-    /// anything is in flight. `None` means a lane's scheduler died with
-    /// jobs in flight — unrecoverable.
-    fn recv(&mut self) -> Option<(u64, InFlight, Verdict)> {
-        loop {
-            match (self.pool_live > 0, self.fleet_live > 0) {
-                (false, false) => return None,
-                (true, false) => {
-                    let o = self.pool.expect("pool_live implies a pool").recv()?;
-                    self.pool_live -= 1;
-                    return Some(self.demux(Verdict::from_pool(o)));
-                }
-                (false, true) => {
-                    let o = self
-                        .fleet
-                        .as_ref()
-                        .expect("fleet_live implies a fleet")
-                        .recv()?;
-                    self.fleet_live -= 1;
-                    return Some(self.demux(Verdict::from_fleet(o)));
-                }
-                (true, true) => {
-                    if let Some(demuxed) = self.poll(RECV_POLL) {
-                        return Some(demuxed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bounded wait for the next verdict: `None` on timeout. The
-    /// multi-job driver interleaves admission checks between waits, so
-    /// a fresh submit is picked up within one poll interval.
-    fn poll(&mut self, timeout: Duration) -> Option<(u64, InFlight, Verdict)> {
-        if self.pool_live > 0 {
-            let wait = if self.fleet_live > 0 {
-                RECV_POLL.min(timeout)
-            } else {
-                timeout
-            };
-            let pool = self.pool.expect("pool_live implies a pool");
-            if let Some(o) = pool.recv_timeout(wait) {
-                self.pool_live -= 1;
-                return Some(self.demux(Verdict::from_pool(o)));
-            }
-        }
-        if self.fleet_live > 0 {
-            let wait = if self.pool_live > 0 {
-                RECV_POLL.min(timeout)
-            } else {
-                timeout
-            };
-            let o = self
-                .fleet
-                .as_ref()
-                .expect("fleet_live implies a fleet")
-                .recv_timeout(wait);
-            if let Some(o) = o {
-                self.fleet_live -= 1;
-                return Some(self.demux(Verdict::from_fleet(o)));
-            }
-        }
-        None
-    }
-
-    /// Shuts the degraded-path fleet down (the pool is caller-owned
-    /// and keeps running) and returns its process accounting.
-    fn shutdown_fleet(&mut self) -> Option<FleetStats> {
-        self.fleet.take().map(Fleet::shutdown)
+impl From<PoolOutcome> for Msg {
+    fn from(outcome: PoolOutcome) -> Msg {
+        Msg::Verdict(outcome)
     }
 }
 
-/// One in-flight job's complete state: its own [`Merger`], stats,
+/// A persistent [`WorkerPool`] of `exe --worker` processes together
+/// with the event channel its verdicts arrive on: what [`run_job_with`]
+/// and [`resume_job`] drive, and what keeps compiled-pattern caches
+/// warm across a caller's jobs. Dereferences to the pool for its
+/// counters, pids and dead letters.
+pub struct ServePool {
+    pool: WorkerPool,
+    events: mpsc::Receiver<Msg>,
+}
+
+impl std::ops::Deref for ServePool {
+    type Target = WorkerPool;
+
+    fn deref(&self) -> &WorkerPool {
+        &self.pool
+    }
+}
+
+impl ServePool {
+    /// Shuts every worker down and returns the pool's final counters.
+    pub fn shutdown(self) -> PoolStats {
+        self.pool.shutdown()
+    }
+}
+
+/// A [`ServePool`] for `config` plus a sender onto its event channel.
+fn serve_pool(exe: &Path, config: &ServeConfig) -> (ServePool, mpsc::Sender<Msg>) {
+    let (tx, events) = mpsc::channel();
+    let cmd = WorkerCommand::new(exe, &["--worker"]);
+    let pool = WorkerPool::new(cmd, pool_config(config), tx.clone());
+    (ServePool { pool, events }, tx)
+}
+
+/// Builds the persistent worker pool for a serve connection
+/// (re-invokes `exe --worker`, which the pool extends with
+/// `--persistent --gen N --heartbeat-ms M`).
+pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> ServePool {
+    serve_pool(exe, config).0
+}
+
+/// One job's complete state: its own [`Merger`], stats,
 /// retry/straggler bookkeeping, and the queue of shard attempts not
-/// yet handed to the dispatcher. The multi-tenant driver keeps up to
-/// `max_jobs` of these live at once over one [`Dispatcher`]; the merge
-/// algebra is strictly per-job, so interleaving cannot change any
-/// job's output.
+/// yet handed to the pool. The [`Scheduler`] keeps up to `max_jobs` of
+/// these live at once over one pool; the merge algebra is strictly
+/// per-job, so interleaving cannot change any job's output.
 struct JobRun {
     id: u64,
     /// Pool shard-index namespace (0 for the single-job entry points).
@@ -1039,10 +866,14 @@ struct JobRun {
     /// This job's submissions currently in flight.
     inflight: usize,
     /// Pool counters at job start, for per-job deltas at the end.
-    pool_base: Option<PoolStats>,
+    pool_base: PoolStats,
     /// Set once the job permanently failed; its remaining in-flight
     /// verdicts are drained and discarded before the error surfaces.
     failed: Option<ShardError>,
+    /// The job's write-ahead log, appended before every merge.
+    journal: Option<JobJournal>,
+    /// Verify the output against the monolithic run when it settles.
+    check: bool,
 }
 
 impl JobRun {
@@ -1053,7 +884,7 @@ impl JobRun {
         merger: Merger<Payload>,
         next_index: usize,
         stats: JobStats,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
     ) -> JobRun {
         JobRun {
             id,
@@ -1067,13 +898,60 @@ impl JobRun {
             abandoned: Vec::new(),
             ready: VecDeque::new(),
             inflight: 0,
-            pool_base: pool.map(WorkerPool::stats),
+            pool_base: pool.stats(),
             failed: None,
+            journal: None,
+            check: false,
         }
     }
 
+    /// Partitions a fresh job, announces it ([`Event::Accepted`]), and
+    /// queues the first attempt of every non-empty shard with its
+    /// injected fault, if any.
+    fn start(
+        spec: &JobSpec<'_>,
+        ns: usize,
+        pool: &WorkerPool,
+        emit: &mut dyn FnMut(Event),
+    ) -> JobRun {
+        let total = spec.workload.total();
+        let parts: Vec<Shard> = Shard::partition(total, spec.shards)
+            .into_iter()
+            .filter(|s| !s.is_empty())
+            .collect();
+        emit(Event::Accepted {
+            id: spec.id,
+            total,
+            shards: parts.len(),
+        });
+        let stats = JobStats {
+            shards: parts.len(),
+            ..JobStats::default()
+        };
+        // Synthetic indices for re-partitioned sub-shards start above
+        // the original partition so error messages stay unambiguous.
+        let mut run = JobRun::new(
+            spec.id,
+            ns,
+            spec.workload.clone(),
+            Merger::new(total),
+            spec.shards,
+            stats,
+            pool,
+        );
+        for part in parts {
+            let fault = spec
+                .faults
+                .iter()
+                .find(|(i, _)| *i == part.index)
+                .map(|(_, f)| *f);
+            run.ready.push_back((part, 0, fault, Duration::ZERO));
+        }
+        run
+    }
+
     /// Nothing in flight and nothing left to dispatch: the job is done
-    /// (successfully or not) and can be reaped via [`JobRun::into_result`].
+    /// (successfully or not) and can be reaped via [`JobRun::finish`].
     fn settled(&self) -> bool {
         self.inflight == 0 && self.ready.is_empty()
     }
@@ -1086,15 +964,14 @@ impl JobRun {
     }
 
     /// Applies one verdict for this job: merge (WAL-first), retry with
-    /// backoff, straggler split, pool→fleet degrade, or quarantine.
-    /// Requeued attempts land in `ready`; the driver decides when to
-    /// dispatch them.
+    /// backoff, straggler split, quarantine, or fail fast on an open
+    /// circuit breaker. Requeued attempts land in `ready`; the
+    /// scheduler decides when to dispatch them.
     fn on_verdict(
         &mut self,
-        d: &mut Dispatcher<'_>,
         flight: InFlight,
-        verdict: Verdict,
-        journal: Option<&mut JobJournal>,
+        outcome: PoolOutcome,
+        config: &ServeConfig,
         emit: &mut dyn FnMut(Event),
     ) {
         self.inflight -= 1;
@@ -1103,18 +980,15 @@ impl JobRun {
             return;
         }
         let id = self.id;
-        let decoded: Result<ShardResult<Payload>, ShardError> = verdict.result.and_then(|stdout| {
-            result_from_json(&stdout).map_err(|e| ShardError::Worker {
-                shard: flight.shard.index,
-                reason: format!("decoding worker output: {e} (truncated stream?)"),
-            })
-        });
+        let decoded = outcome
+            .result
+            .and_then(|stdout| decode_worker_result(flight.shard.index, &stdout));
         match decoded {
             Ok(result) => {
                 // WAL first: the merge is only acknowledged once the
                 // partial is durably journaled, so a crash after this
                 // point is recoverable bit-exactly.
-                if let Some(j) = journal {
+                if let Some(j) = &mut self.journal {
                     if let Err(e) = j.append(&result) {
                         self.fail(ShardError::Worker {
                             shard: flight.shard.index,
@@ -1131,7 +1005,7 @@ impl JobRun {
                 self.stats.completed += 1;
                 self.stats.cache_hits += provenance.cache_hits;
                 self.stats.cache_misses += provenance.cache_misses;
-                let latency_ms = verdict.elapsed.as_millis() as u64;
+                let latency_ms = outcome.elapsed.as_millis() as u64;
                 self.stats.shard_ms.push(latency_ms);
                 let covered = self.total
                     - self
@@ -1152,38 +1026,23 @@ impl JobRun {
                     total: self.total,
                 });
             }
-            Err(e) if verdict.circuit_open => {
-                // The pool's restart-rate breaker opened: this attempt
-                // was never fully tried. Reroute it (same attempt
-                // number — no retry budget consumed) to the one-shot
-                // subprocess path.
-                d.use_pool = false;
-                self.stats.degraded += 1;
-                emit(Event::Requeue {
-                    id,
-                    range: (flight.shard.start, flight.shard.end),
-                    attempt: flight.attempt,
-                    backoff_ms: 0,
-                    repartitioned: false,
-                    reason: format!("{e} — degrading to one-shot workers"),
-                });
-                self.ready
-                    .push_back((flight.shard, flight.attempt, flight.fault, Duration::ZERO));
-            }
-            Err(e) if verdict.quarantined => {
+            // The pool's restart-rate breaker opened: the worker binary
+            // is failing systemically, so fail fast rather than retry.
+            Err(e) if outcome.circuit_open => self.fail(e),
+            Err(e) if outcome.quarantined => {
                 self.stats.quarantined += 1;
                 emit(Event::Quarantined {
                     id,
                     range: (flight.shard.start, flight.shard.end),
                     reason: e.to_string(),
                 });
-                if d.config.allow_partial {
+                if config.allow_partial {
                     self.abandoned.push(flight.shard);
                 } else {
                     self.fail(e);
                 }
             }
-            Err(e) if verdict.timed_out && flight.shard.len() >= 2 => {
+            Err(e) if outcome.timed_out && flight.shard.len() >= 2 => {
                 // Straggler: its worker is already killed; halve the
                 // range onto fresh workers. Sub-shards run clean (the
                 // injected-fault map keys on original indices only) and
@@ -1204,12 +1063,12 @@ impl JobRun {
             }
             Err(e) => {
                 let attempt = flight.attempt + 1;
-                if attempt >= d.config.retry.max_attempts {
+                if attempt >= config.retry.max_attempts {
                     self.fail(e);
                     return;
                 }
                 self.stats.retries += 1;
-                let backoff = d.config.retry.backoff(attempt);
+                let backoff = config.retry.backoff(attempt);
                 emit(Event::Requeue {
                     id,
                     range: (flight.shard.start, flight.shard.end),
@@ -1224,20 +1083,15 @@ impl JobRun {
         }
     }
 
-    /// Consumes the settled job: folds the pool's per-job counter
+    /// Finishes the settled job: folds the pool's per-job counter
     /// deltas, fills quarantined ranges with [`hole_payload`]
     /// placeholders (`allow_partial`), and assembles the output.
-    fn into_result(
-        mut self,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(SweepOutput, JobStats), ShardError> {
-        if let (Some(pool), Some(base)) = (pool, self.pool_base.take()) {
-            let now = pool.stats();
-            self.stats.spawned += now.spawned.saturating_sub(base.spawned);
-            self.stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
-            self.stats.max_live = self.stats.max_live.max(now.max_live);
-        }
-        if let Some(e) = self.failed {
+    fn finish(&mut self, pool: &WorkerPool) -> JobResult {
+        let now = pool.stats();
+        self.stats.spawned += now.spawned.saturating_sub(self.pool_base.spawned);
+        self.stats.worker_restarts += now.restarts.saturating_sub(self.pool_base.restarts);
+        self.stats.max_live = self.stats.max_live.max(now.max_live);
+        if let Some(e) = self.failed.take() {
             return Err(e);
         }
         // Quarantined ranges (allow_partial) fill with placeholder
@@ -1254,17 +1108,276 @@ impl JobRun {
                 payload: hole_payload(&self.workload, shard),
             })?;
         }
-        let output = assemble(&self.workload, self.merger.finish()?);
-        Ok((output, self.stats))
+        let merger = std::mem::replace(&mut self.merger, Merger::new(self.total));
+        let output = assemble(&self.workload, merger.finish()?);
+        Ok((output, std::mem::take(&mut self.stats)))
     }
 }
 
+/// A job's assembled output and counters, or why it failed.
+type JobResult = Result<(SweepOutput, JobStats), ShardError>;
+
+/// The one event loop behind [`serve`], [`run_job_with`] and
+/// [`resume_job`]. It owns the admission queue and the ids of every
+/// queued or running job, drives up to `max_jobs` [`JobRun`]s over one
+/// pool (round-robin, one shard per job per turn), and demuxes
+/// verdicts back to their jobs by tag. Tags are unique for the
+/// scheduler's lifetime, so a failed job's late outcome can never be
+/// mistaken for a later job's. Whenever there is nothing to dispatch
+/// or reap, it blocks on its single [`Msg`] channel.
+struct Scheduler<'a> {
+    pool: &'a WorkerPool,
+    config: &'a ServeConfig,
+    /// Tag → attempt bookkeeping, across all jobs.
+    inflight: HashMap<u64, InFlight>,
+    next_tag: u64,
+    active: Vec<JobRun>,
+    /// Round-robin cursor over `active`.
+    rr: usize,
+    /// Submits waiting for a job slot.
+    queue: VecDeque<SubmitRequest>,
+    /// [`serve`]'s count of accepted submits not yet started (in the
+    /// channel or in `queue`); the scheduler decrements it as each
+    /// leaves the line.
+    waiting: Option<&'a AtomicUsize>,
+    /// Ids of every queued **or running** job. A submit reusing one is
+    /// rejected: admitting it would shadow a live job's event stream
+    /// and `JobJournal::create` would truncate the original's WAL,
+    /// silently destroying its in-flight crash-safety.
+    ids: HashSet<u64>,
+    /// Cache key of the last admitted job, and the affinity streak of
+    /// [`pick_next`].
+    last_key: Option<String>,
+    streak: usize,
+    next_ns: usize,
+    /// Whether more requests may still arrive.
+    open: bool,
+    stats: ServeStats,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(pool: &'a WorkerPool, config: &'a ServeConfig) -> Self {
+        Scheduler {
+            pool,
+            config,
+            inflight: HashMap::new(),
+            next_tag: 0,
+            active: Vec::new(),
+            rr: 0,
+            queue: VecDeque::new(),
+            waiting: None,
+            ids: HashSet::new(),
+            last_key: None,
+            streak: 0,
+            next_ns: 0,
+            open: true,
+            stats: ServeStats::default(),
+        }
+    }
+
+    /// Runs until no more requests can arrive and every queued and
+    /// active job has settled, handing each settled job to `settle`.
+    fn run(
+        &mut self,
+        events: &mpsc::Receiver<Msg>,
+        emit: &mut dyn FnMut(Event),
+        settle: &mut dyn FnMut(&JobRun, JobResult),
+    ) {
+        loop {
+            self.admit(emit);
+            self.feed();
+            if let Some(i) = self.active.iter().position(JobRun::settled) {
+                let mut job = self.active.remove(i);
+                self.ids.remove(&job.id);
+                let result = job.finish(self.pool);
+                match result {
+                    Ok(_) => self.stats.done += 1,
+                    Err(_) => self.stats.failed += 1,
+                }
+                settle(&job, result);
+                continue; // a freed slot may admit a queued job
+            }
+            if !self.open && self.queue.is_empty() && self.active.is_empty() {
+                return;
+            }
+            match events.recv() {
+                Ok(Msg::Submit(req)) => self.offer(*req, emit),
+                Ok(Msg::Closed) => self.open = false,
+                Ok(Msg::Verdict(outcome)) => self.on_verdict(outcome, emit),
+                Err(mpsc::RecvError) => self.abort(),
+            }
+        }
+    }
+
+    /// Queues one submit, or rejects it at once when its id is already
+    /// queued or running.
+    fn offer(&mut self, req: SubmitRequest, emit: &mut dyn FnMut(Event)) {
+        if self.ids.insert(req.id) {
+            self.queue.push_back(req);
+            return;
+        }
+        self.dequeued();
+        self.stats.rejected += 1;
+        emit(Event::Rejected {
+            id: Some(req.id),
+            reason: format!("admission: job id {} is already queued or running", req.id),
+        });
+    }
+
+    /// One accepted submit left the waiting line (started or rejected).
+    fn dequeued(&self) {
+        if let Some(waiting) = self.waiting {
+            waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Moves queued submits into free job slots (affinity-bounded, see
+    /// [`pick_next`]), creating each job's journal first.
+    fn admit(&mut self, emit: &mut dyn FnMut(Event)) {
+        while self.active.len() < self.config.max_jobs.max(1) {
+            let Some(req) = pick_next(&mut self.queue, self.last_key.as_deref(), &mut self.streak)
+            else {
+                return;
+            };
+            self.dequeued();
+            self.last_key = Some(req.workload.cache_key());
+            let journal = match &self.config.journal_dir {
+                None => None,
+                Some(dir) => match JobJournal::create(dir, req.id, &req.workload, req.shards) {
+                    Ok(j) => Some(j),
+                    Err(e) => {
+                        self.ids.remove(&req.id);
+                        self.stats.failed += 1;
+                        emit(Event::JobError {
+                            id: req.id,
+                            reason: format!("cannot create job journal: {e}"),
+                        });
+                        continue;
+                    }
+                },
+            };
+            let spec = JobSpec {
+                id: req.id,
+                workload: &req.workload,
+                shards: req.shards,
+                faults: &req.faults,
+            };
+            let mut run = JobRun::start(&spec, self.next_ns, self.pool, emit);
+            self.next_ns += 1;
+            run.journal = journal;
+            run.check = req.check;
+            self.active.push(run);
+        }
+    }
+
+    /// Keeps the pool fed round-robin, one shard attempt per ready job
+    /// per turn, until the dispatch window is full. The window keeps
+    /// the pool's internal queue shallow so a job admitted late is not
+    /// stuck behind one tenant's backlog.
+    fn feed(&mut self) {
+        let window = self.config.cap + self.active.len();
+        while self.inflight.len() < window {
+            let n = self.active.len();
+            let Some(slot) = (0..n)
+                .map(|off| (self.rr + off) % n)
+                .find(|&i| !self.active[i].ready.is_empty())
+            else {
+                return;
+            };
+            self.rr = (slot + 1) % n;
+            self.dispatch(slot);
+        }
+    }
+
+    /// Hands the next ready attempt of `active[slot]` to the pool. A
+    /// refused submission fails the job at once: the pool is the only
+    /// lane, and it refuses work only with its breaker open (or its
+    /// supervisor gone).
+    fn dispatch(&mut self, slot: usize) {
+        let run = &mut self.active[slot];
+        let Some((shard, attempt, fault, delay)) = run.ready.pop_front() else {
+            return;
+        };
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        let job = PoolJob {
+            tag,
+            shard_index: run.ns * JOB_NS_STRIDE + shard.index,
+            input: job_to_json_attempt(&run.workload, shard, fault, attempt),
+            cache_key: run.cache_key.clone(),
+            delay,
+        };
+        if self.pool.submit(job).is_ok() {
+            run.inflight += 1;
+            let flight = InFlight {
+                job: run.id,
+                shard,
+                attempt,
+                fault,
+            };
+            self.inflight.insert(tag, flight);
+        } else {
+            let reason = if self.pool.is_tripped() {
+                "worker pool circuit breaker open: job refused"
+            } else {
+                "worker pool supervisor is gone"
+            };
+            run.fail(ShardError::Worker {
+                shard: shard.index,
+                reason: reason.into(),
+            });
+        }
+    }
+
+    fn on_verdict(&mut self, outcome: PoolOutcome, emit: &mut dyn FnMut(Event)) {
+        let flight = self
+            .inflight
+            .remove(&outcome.tag)
+            .expect("every verdict answers a submission of this scheduler");
+        self.active
+            .iter_mut()
+            .find(|job| job.id == flight.job)
+            .expect("a job with attempts in flight stays active")
+            .on_verdict(flight, outcome, self.config, emit);
+    }
+
+    /// The event channel disconnected: the reader is done and the
+    /// pool's supervisor died, so no verdict will ever arrive. Fails
+    /// every active job instead of blocking forever.
+    fn abort(&mut self) {
+        self.open = false;
+        self.inflight.clear();
+        for job in &mut self.active {
+            job.fail(ShardError::Worker {
+                shard: 0,
+                reason: "worker scheduler terminated with jobs in flight".into(),
+            });
+            job.inflight = 0;
+        }
+    }
+}
+
+/// Drives one already-started job to completion on `pool`'s event
+/// loop and returns its result.
+fn drive_one(
+    pool: &ServePool,
+    config: &ServeConfig,
+    run: JobRun,
+    emit: &mut dyn FnMut(Event),
+) -> JobResult {
+    let mut sched = Scheduler::new(pool, config);
+    sched.open = false;
+    sched.active.push(run);
+    let mut result = None;
+    sched.run(&pool.events, emit, &mut |_, settled| result = Some(settled));
+    result.expect("the scheduler settles every active job")
+}
+
 /// Executes one job end to end with streaming merge, retry + backoff,
-/// and straggler re-partition; emits an [`Event`] for every scheduling
-/// decision. Runs on a private one-job [`WorkerPool`] when
-/// `config.pool` is set, else on a per-attempt [`Fleet`]. Returns the
-/// assembled output (bit-exact vs. the monolithic run — the fault
-/// harness and the serve tests pin this) plus the job's counters.
+/// and straggler re-partition on a private [`WorkerPool`]; emits an
+/// [`Event`] for every scheduling decision. Returns the assembled
+/// output (bit-exact vs. the monolithic run — the fault harness and
+/// the serve tests pin this) plus the job's counters.
 ///
 /// `exe` is re-invoked as `exe --worker` per worker process.
 pub fn run_job(
@@ -1275,73 +1388,45 @@ pub fn run_job(
     faults: &[(usize, Fault)],
     config: &ServeConfig,
     emit: &mut dyn FnMut(Event),
-) -> Result<(SweepOutput, JobStats), ShardError> {
-    let pool = config.pool.then(|| spawn_pool(exe, config));
+) -> JobResult {
+    let pool = spawn_pool(exe, config);
     let spec = JobSpec {
         id,
         workload,
         shards,
         faults,
     };
-    let result = run_job_with(exe, pool.as_ref(), &spec, config, None, emit);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
+    let result = run_job_with(exe, &pool, &spec, config, None, emit);
+    pool.shutdown();
     result
 }
 
 /// [`run_job`] against a caller-owned (typically connection-scoped)
-/// [`WorkerPool`] — affinity routing then keeps compiled-pattern
-/// caches warm **across** jobs — and an optional crash-safe journal
-/// that records every landed partial before it is acknowledged.
+/// [`ServePool`] — affinity routing then keeps compiled-pattern caches
+/// warm **across** jobs — and an optional crash-safe journal that
+/// records every landed partial before it is acknowledged. The pool
+/// already knows its worker binary; `_exe` is accepted for call-site
+/// symmetry with [`run_job`].
 pub fn run_job_with(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
+    _exe: &Path,
+    pool: &ServePool,
     spec: &JobSpec<'_>,
     config: &ServeConfig,
     journal: Option<&mut JobJournal>,
     emit: &mut dyn FnMut(Event),
-) -> Result<(SweepOutput, JobStats), ShardError> {
-    let total = spec.workload.total();
-    let parts: Vec<Shard> = Shard::partition(total, spec.shards)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .collect();
-    let stats = JobStats {
-        shards: parts.len(),
-        ..JobStats::default()
-    };
-    emit(Event::Accepted {
-        id: spec.id,
-        total,
-        shards: parts.len(),
-    });
-    let work: Vec<(Shard, Option<Fault>)> = parts
-        .iter()
-        .map(|part| {
-            let fault = spec
-                .faults
-                .iter()
-                .find(|(i, _)| *i == part.index)
-                .map(|(_, f)| *f);
-            (*part, fault)
-        })
-        .collect();
-    // Synthetic indices for re-partitioned sub-shards start above the
-    // original partition so error messages stay unambiguous.
-    run_shards(
-        exe,
-        pool,
-        config,
-        spec.id,
-        spec.workload,
-        work,
-        Merger::new(total),
-        spec.shards,
-        stats,
-        journal,
-        emit,
-    )
+) -> JobResult {
+    // A duplicate handle shares the caller's file offset, so appends
+    // land exactly as if written through `journal` itself.
+    let journal = journal
+        .map(|j| j.try_clone())
+        .transpose()
+        .map_err(|e| ShardError::Worker {
+            shard: 0,
+            reason: format!("sharing the job journal: {e}"),
+        })?;
+    let mut run = JobRun::start(spec, 0, pool, emit);
+    run.journal = journal;
+    drive_one(pool, config, run, emit)
 }
 
 /// Resumes a crashed or interrupted job from its journal: replays
@@ -1351,10 +1436,11 @@ pub fn run_job_with(
 /// same journal. The final output is bit-identical to the
 /// uninterrupted run. Returns `(id, workload, output, stats)` — the
 /// workload so the caller can run a `--check` against the monolithic
-/// reference.
+/// reference. `_exe` is accepted for call-site symmetry, as in
+/// [`run_job_with`].
 pub fn resume_job(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
+    _exe: &Path,
+    pool: &ServePool,
     path: &Path,
     config: &ServeConfig,
     emit: &mut dyn FnMut(Event),
@@ -1387,96 +1473,25 @@ pub fn resume_job(
         covered,
         total,
     });
+    let journal = JobJournal::open_append(path).map_err(|e| ShardError::Worker {
+        shard: 0,
+        reason: format!("re-opening journal {}: {e}", path.display()),
+    })?;
     // Missing ranges re-run as fresh synthetic shards with no faults:
     // injected faults are keyed on original indices, and a resume must
     // converge rather than re-trip the same failure. `Shard::synthetic`
     // keeps the `index < of` provenance invariant that the wire decoder
     // asserts (re-runs used to claim "shard 7 of 4").
-    let work: Vec<(Shard, Option<Fault>)> = merger
-        .missing()
-        .into_iter()
-        .map(|(start, end)| {
-            let index = next_index;
-            next_index += 1;
-            (Shard::synthetic(index, total, start, end), None)
-        })
-        .collect();
-    let mut journal = JobJournal::open_append(path).map_err(|e| ShardError::Worker {
-        shard: 0,
-        reason: format!("re-opening journal {}: {e}", path.display()),
-    })?;
-    let (output, stats) = run_shards(
-        exe,
-        pool,
-        config,
-        id,
-        &workload,
-        work,
-        merger,
-        next_index,
-        stats,
-        Some(&mut journal),
-        emit,
-    )?;
+    let missing = merger.missing();
+    let mut run = JobRun::new(id, 0, workload.clone(), merger, next_index, stats, pool);
+    run.journal = Some(journal);
+    for (start, end) in missing {
+        let shard = Shard::synthetic(run.next_index, total, start, end);
+        run.next_index += 1;
+        run.ready.push_back((shard, 0, None, Duration::ZERO));
+    }
+    let (output, stats) = drive_one(pool, config, run, emit)?;
     Ok((id, workload, output, stats))
-}
-
-/// The single-job execution core: drives `work` to completion on the
-/// pool/fleet lanes via a private [`Dispatcher`] and one [`JobRun`],
-/// streaming merges (journaling each landed partial first), retrying
-/// with backoff, re-partitioning stragglers, degrading pool→fleet on a
-/// tripped breaker, and turning quarantined shards into
-/// [`hole_payload`] placeholders (`allow_partial`) or a named failure.
-/// A permanently failed job drains its remaining in-flight verdicts
-/// before the error surfaces, so no stale outcome can leak into a
-/// later job on the same pool.
-#[allow(clippy::too_many_arguments)]
-fn run_shards(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
-    config: &ServeConfig,
-    id: u64,
-    workload: &Workload,
-    work: Vec<(Shard, Option<Fault>)>,
-    merger: Merger<Payload>,
-    next_index: usize,
-    stats: JobStats,
-    mut journal: Option<&mut JobJournal>,
-    emit: &mut dyn FnMut(Event),
-) -> Result<(SweepOutput, JobStats), ShardError> {
-    let mut d = Dispatcher::new(exe, pool, config);
-    let mut job = JobRun::new(id, 0, workload.clone(), merger, next_index, stats, pool);
-    if config.pool && !d.use_pool {
-        // The connection pool is gone (tripped on an earlier job):
-        // this whole job runs degraded.
-        job.stats.degraded += 1;
-    }
-    for (shard, fault) in work {
-        job.ready.push_back((shard, 0, fault, Duration::ZERO));
-    }
-    loop {
-        while let Some((shard, attempt, fault, delay)) = job.ready.pop_front() {
-            d.submit(&mut job, shard, attempt, fault, delay);
-        }
-        if job.inflight == 0 {
-            break;
-        }
-        let Some((_, flight, verdict)) = d.recv() else {
-            job.fail(ShardError::Worker {
-                shard: 0,
-                reason: "worker scheduler terminated with jobs in flight".into(),
-            });
-            // The lane's scheduler is dead: nothing further arrives.
-            job.inflight = 0;
-            break;
-        };
-        job.on_verdict(&mut d, flight, verdict, journal.as_deref_mut(), emit);
-    }
-    if let Some(fstats) = d.shutdown_fleet() {
-        job.stats.spawned += fstats.spawned;
-        job.stats.max_live = job.stats.max_live.max(fstats.max_live);
-    }
-    job.into_result(pool)
 }
 
 // ------------------------------------------------------------ the server
@@ -1520,54 +1535,32 @@ fn pick_next(
     queue.pop_front()
 }
 
-/// Admission state shared between the reader thread and the scheduler.
-struct Admission {
-    queue: VecDeque<SubmitRequest>,
-    /// Ids of every queued **or running** job. A submit reusing one is
-    /// rejected: admitting it would shadow a live job's event stream
-    /// and `JobJournal::create` would truncate the original's WAL,
-    /// silently destroying its in-flight crash-safety.
-    ids: HashSet<u64>,
-    /// Reader saw shutdown/EOF; the scheduler drains and exits.
-    done: bool,
-}
-
-/// One admitted job the scheduler is driving.
-struct ActiveJob {
-    run: JobRun,
-    journal: Option<JobJournal>,
-    check: bool,
-}
-
 /// The always-on orchestrator loop: newline-delimited request frames
 /// in, event frames out, until a `shutdown` frame or input EOF (then
 /// the queue is drained gracefully and a `bye` frame closes the
 /// stream).
 ///
-/// A dedicated reader thread keeps admission decisions prompt while
-/// jobs are running: `ping` answers immediately, a `submit` beyond
-/// `max_queue` queued jobs (or reusing a queued/running id) is
-/// rejected the moment it arrives, and the scheduler sleeps on a
-/// condvar while idle — the reader's wakeup replaces the old 5 ms
-/// polling loop.
+/// A reader thread parses frames: it answers `ping`, rejects malformed
+/// frames, and rejects a `submit` at once when `max_queue` accepted
+/// submits are already waiting to start — however far a busy
+/// scheduler falls behind, waiting work stays bounded. Every other
+/// `submit` (and the end of input) goes to the scheduler, whose one
+/// event channel also carries the pool's verdicts. The scheduler owns
+/// the admission queue and the ids of queued and running jobs, and
+/// rejects a `submit` that reuses one.
 ///
 /// Up to `max_jobs` admitted jobs run **concurrently**: the scheduler
 /// feeds their shards to the shared pool round-robin (one shard per
 /// job per turn) and demuxes verdicts back per job, so every tenant
-/// makes progress while any has work left.
+/// makes progress while any has work left. If the pool's circuit
+/// breaker opens, every job then running and every later one fails
+/// fast with a `job_error` naming the open circuit.
 pub fn serve<R, W>(reader: R, writer: W, exe: &Path, config: &ServeConfig) -> ServeStats
 where
     R: BufRead + Send,
     W: Write + Send,
 {
     let writer = Mutex::new(writer);
-    let admission = Mutex::new(Admission {
-        queue: VecDeque::new(),
-        ids: HashSet::new(),
-        done: false,
-    });
-    let wakeup = Condvar::new();
-    let rejected = AtomicUsize::new(0);
     let emit = |event: Event| {
         if config.log {
             eprintln!("serve: {}", event.log_line());
@@ -1577,225 +1570,70 @@ where
         // keep running (remaining events will fail the same way).
         let _ = write_frame(&mut *w, &event.to_wire());
     };
-    let mut stats = ServeStats::default();
     // One persistent pool per connection: affinity routing keeps
     // compiled-pattern caches warm across consecutive jobs sharing a
-    // cache key. A tripped pool is left behind (jobs degrade to the
-    // per-attempt fleet path) rather than respawned into the same
-    // systemic failure.
-    let pool = config.pool.then(|| spawn_pool(exe, config));
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
+    // cache key.
+    let (pool, requests) = serve_pool(exe, config);
+    let waiting = AtomicUsize::new(0);
+    let stats = std::thread::scope(|scope| {
+        let waiting = &waiting;
+        let reader_thread = scope.spawn(move || {
             let mut reader = reader;
+            let mut rejected = 0;
             while let Some(frame) = read_frame(&mut reader) {
-                match frame.and_then(|v| parse_request(&v)) {
-                    Ok(Request::Ping) => emit(Event::Pong),
+                let (id, reason) = match frame.and_then(|v| parse_request(&v)) {
+                    Ok(Request::Ping) => {
+                        emit(Event::Pong);
+                        continue;
+                    }
                     Ok(Request::Shutdown) => break,
                     Ok(Request::Submit(req)) => {
-                        let mut adm = lock_unpoisoned(&admission);
-                        if adm.queue.len() >= config.max_queue {
-                            drop(adm);
-                            rejected.fetch_add(1, Ordering::SeqCst);
-                            emit(Event::Rejected {
-                                id: Some(req.id),
-                                reason: format!(
-                                    "admission: queue full ({} jobs waiting)",
-                                    config.max_queue
-                                ),
-                            });
-                        } else if adm.ids.contains(&req.id) {
-                            drop(adm);
-                            rejected.fetch_add(1, Ordering::SeqCst);
-                            emit(Event::Rejected {
-                                id: Some(req.id),
-                                reason: format!(
-                                    "admission: job id {} is already queued or running",
-                                    req.id
-                                ),
-                            });
-                        } else {
-                            adm.ids.insert(req.id);
-                            adm.queue.push_back(*req);
-                            drop(adm);
-                            wakeup.notify_all();
-                        }
-                    }
-                    Err(e) => {
-                        rejected.fetch_add(1, Ordering::SeqCst);
-                        emit(Event::Rejected {
-                            id: None,
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-            }
-            lock_unpoisoned(&admission).done = true;
-            wakeup.notify_all();
-        });
-
-        let mut dispatcher = Dispatcher::new(exe, pool.as_ref(), config);
-        let mut active: Vec<ActiveJob> = Vec::new();
-        let mut last_key: Option<String> = None;
-        let mut streak = 0usize;
-        let mut rr = 0usize;
-        let mut next_ns = 0usize;
-        loop {
-            // Admit queued jobs into free slots (affinity-bounded).
-            while active.len() < config.max_jobs.max(1) {
-                let next = {
-                    let mut adm = lock_unpoisoned(&admission);
-                    pick_next(&mut adm.queue, last_key.as_deref(), &mut streak)
-                };
-                let Some(req) = next else { break };
-                last_key = Some(req.workload.cache_key());
-                let journal = match &config.journal_dir {
-                    None => None,
-                    Some(dir) => match JobJournal::create(dir, req.id, &req.workload, req.shards) {
-                        Ok(j) => Some(j),
-                        Err(e) => {
-                            stats.failed += 1;
-                            emit(Event::JobError {
-                                id: req.id,
-                                reason: format!("cannot create job journal: {e}"),
-                            });
-                            lock_unpoisoned(&admission).ids.remove(&req.id);
+                        if waiting.fetch_add(1, Ordering::SeqCst) < config.max_queue {
+                            let _ = requests.send(Msg::Submit(req));
                             continue;
                         }
-                    },
+                        waiting.fetch_sub(1, Ordering::SeqCst);
+                        (
+                            Some(req.id),
+                            format!("admission: queue full ({} jobs waiting)", config.max_queue),
+                        )
+                    }
+                    Err(e) => (None, e.to_string()),
                 };
-                let total = req.workload.total();
-                let parts: Vec<Shard> = Shard::partition(total, req.shards)
-                    .into_iter()
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                emit(Event::Accepted {
-                    id: req.id,
-                    total,
-                    shards: parts.len(),
-                });
-                let mut run = JobRun::new(
-                    req.id,
-                    next_ns,
-                    req.workload.clone(),
-                    Merger::new(total),
-                    req.shards,
-                    JobStats {
-                        shards: parts.len(),
-                        ..JobStats::default()
-                    },
-                    pool.as_ref(),
-                );
-                next_ns += 1;
-                if config.pool && !dispatcher.use_pool {
-                    run.stats.degraded += 1;
-                }
-                for part in parts {
-                    let fault = req
-                        .faults
-                        .iter()
-                        .find(|(i, _)| *i == part.index)
-                        .map(|(_, f)| *f);
-                    run.ready.push_back((part, 0, fault, Duration::ZERO));
-                }
-                active.push(ActiveJob {
-                    run,
-                    journal,
-                    check: req.check,
-                });
+                rejected += 1;
+                emit(Event::Rejected { id, reason });
             }
-            if active.is_empty() {
-                let adm = lock_unpoisoned(&admission);
-                if adm.done && adm.queue.is_empty() {
-                    break;
+            let _ = requests.send(Msg::Closed);
+            rejected
+        });
+        let mut sched = Scheduler::new(&pool, config);
+        sched.waiting = Some(waiting);
+        sched.run(
+            &pool.events,
+            &mut |event| emit(event),
+            &mut |job, result| match result {
+                Ok((output, stats)) => {
+                    let bit_identical = job
+                        .check
+                        .then(|| output.bit_identical(&monolithic(&job.workload)));
+                    emit(Event::Done {
+                        id: job.id,
+                        output,
+                        stats,
+                        bit_identical,
+                    });
                 }
-                if adm.queue.is_empty() {
-                    // Idle: sleep until the reader signals a submit or
-                    // shutdown. Both transitions notify under this
-                    // mutex, so no wakeup can be lost.
-                    drop(wakeup.wait(adm));
-                }
-                continue;
-            }
-            // Keep the pool fed round-robin: one shard per ready job
-            // per turn, until the dispatch window is full. The window
-            // keeps the pool's internal queue shallow so a job
-            // admitted late is not stuck behind one tenant's backlog.
-            let window = config.cap + active.len();
-            while dispatcher.live() < window {
-                let mut dispatched = false;
-                for off in 0..active.len() {
-                    let slot = (rr + off) % active.len();
-                    let job = &mut active[slot].run;
-                    if let Some((shard, attempt, fault, delay)) = job.ready.pop_front() {
-                        dispatcher.submit(job, shard, attempt, fault, delay);
-                        rr = (slot + 1) % active.len();
-                        dispatched = true;
-                        break;
-                    }
-                }
-                if !dispatched {
-                    break;
-                }
-            }
-            // One bounded wait for a verdict: fresh submits still get
-            // admitted within a poll interval while jobs are running.
-            if dispatcher.live() > 0 {
-                if let Some((job_id, flight, verdict)) = dispatcher.poll(RECV_POLL) {
-                    if let Some(slot) = active.iter_mut().find(|a| a.run.id == job_id) {
-                        let mut emit_fn = |event: Event| emit(event);
-                        slot.run.on_verdict(
-                            &mut dispatcher,
-                            flight,
-                            verdict,
-                            slot.journal.as_mut(),
-                            &mut emit_fn,
-                        );
-                    }
-                }
-            }
-            // Reap settled jobs, interleaving `done` frames by job id.
-            let mut i = 0;
-            while i < active.len() {
-                if !active[i].run.settled() {
-                    i += 1;
-                    continue;
-                }
-                let done = active.remove(i);
-                let id = done.run.id;
-                let workload = done.run.workload.clone();
-                match done.run.into_result(pool.as_ref()) {
-                    Ok((output, job_stats)) => {
-                        let bit_identical = done
-                            .check
-                            .then(|| output.bit_identical(&monolithic(&workload)));
-                        stats.done += 1;
-                        emit(Event::Done {
-                            id,
-                            output,
-                            stats: job_stats,
-                            bit_identical,
-                        });
-                    }
-                    Err(e) => {
-                        stats.failed += 1;
-                        emit(Event::JobError {
-                            id,
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-                lock_unpoisoned(&admission).ids.remove(&id);
-            }
-        }
-        // The degraded-path fleet (if any job tripped onto it) is
-        // connection-scoped here; its spawn counters are not
-        // attributable to a single job, so they fold into no stats.
-        dispatcher.shutdown_fleet();
+                Err(e) => emit(Event::JobError {
+                    id: job.id,
+                    reason: e.to_string(),
+                }),
+            },
+        );
+        let mut stats = sched.stats;
+        stats.rejected += reader_thread.join().unwrap_or(0);
+        stats
     });
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
-    stats.rejected = rejected.load(Ordering::SeqCst);
+    pool.shutdown();
     emit(Event::Bye {
         done: stats.done,
         failed: stats.failed,

@@ -17,9 +17,9 @@
 //!   computation is a pure function of its index, any shard count and
 //!   any arrival order reproduces the monolithic output bit-for-bit
 //!   (`tests/shard_equivalence.rs` is the proof harness).
-//! * [`drive_subprocess`] executes one worker process per shard,
-//!   speaking the bit-exact JSON of [`mbqao_core::engine::wire`] over
-//!   stdio (this environment has no network; the transport is a seam —
+//! * [`drive_subprocess`] executes the shards on a
+//!   [`WorkerPool`] of worker processes, speaking the bit-exact JSON of
+//!   [`mbqao_core::engine::wire`] over stdio (the transport is a seam —
 //!   the jobs and results are self-describing strings). A worker that
 //!   panics or truncates its output fails *that shard by name* and
 //!   never pollutes the merge; [`run_shard_subprocess`] re-runs exactly
@@ -30,8 +30,8 @@
 use crate::tables::{EquivalenceSpec, ResourcesSpec, TableRow};
 use crate::FamilyInstance;
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, run_worker, run_workers_capped, Merger, Provenance, Shard,
-    ShardError, ShardResult, WorkerCommand,
+    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, PoolOutcome, Provenance,
+    Shard, ShardError, ShardResult, WorkerCommand, WorkerPool,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, PoolFrame, Value, WireError};
 use mbqao_core::{
@@ -528,7 +528,7 @@ impl Payload {
 /// traffic this shard generated in the current process.
 pub fn run_shard(workload: &Workload, shard: Shard) -> ShardResult<Payload> {
     if shard.is_empty() {
-        // Nothing to compute (fleet larger than the item space):
+        // Nothing to compute (more shards than items):
         // return the empty payload of the right shape without
         // resolving families or building backends.
         let payload = match workload {
@@ -909,10 +909,9 @@ pub enum Fault {
     /// rejection exists to catch. No-op on payloads without `f64:`
     /// values (table workloads).
     Corrupt,
-    /// A **persistent** worker exits cleanly after completing `n` jobs
-    /// in its process — the supervisor-restart injection. Keys on the
-    /// per-process job count, not the attempt; a one-shot worker exits
-    /// after its single job anyway, so there it is a no-op.
+    /// The worker exits cleanly after completing `n` jobs in its
+    /// process — the supervisor-restart injection. Keys on the
+    /// per-process job count, not the attempt.
     DieAfter(u32),
 }
 
@@ -1075,30 +1074,14 @@ pub fn corrupt_f64_payload(json: &str) -> String {
 // ------------------------------------------------------ worker entry
 
 /// Entry point for `--worker` mode, shared by the `sweep_shard` and
-/// `mbqao-serve` binaries.
-///
-/// One-shot by default: one job JSON on stdin (read to EOF), one
-/// result JSON on stdout — the per-attempt subprocess contract. With
-/// `--persistent` the worker instead serves **many** jobs until stdin
-/// EOF, speaking [`PoolFrame`]s for a supervising
-/// [`WorkerPool`](mbqao_core::engine::shard::WorkerPool):
-/// `--gen <g>` is the generation the supervisor assigned this process
-/// (echoed in every frame so late output from a killed predecessor is
-/// discarded) and `--heartbeat-ms <ms>` the beat interval.
+/// `mbqao-serve` binaries: a persistent pool worker that serves
+/// **many** jobs until stdin EOF, speaking [`PoolFrame`]s for a
+/// supervising [`WorkerPool`]. The pool appends
+/// `--persistent --gen <g> --heartbeat-ms <ms>`: `--gen` is the
+/// generation the supervisor assigned this process (echoed in every
+/// frame so late output from a killed predecessor is discarded) and
+/// `--heartbeat-ms` the beat interval.
 pub fn worker_entry(args: &[String]) {
-    if !args.iter().any(|a| a == "--persistent") {
-        let mut input = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
-            .expect("reading job from stdin");
-        match worker_run(&input) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("worker: bad job: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
     let arg = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -1117,11 +1100,11 @@ pub fn worker_entry(args: &[String]) {
 /// stops beating and is liveness-killed).
 ///
 /// Because the process persists across jobs, its process-wide compile
-/// caches finally hit cross-shard and cross-job — the entire point of
-/// the pool. Injected faults behave exactly as in one-shot mode
-/// (`Panic`/`FailUntil` take the whole process down, which is what the
-/// supervisor's restart path exists for), plus [`Fault::DieAfter`]:
-/// exit cleanly after `n` completed jobs.
+/// caches hit cross-shard and cross-job — the entire point of the
+/// pool. Injected faults fire in [`worker_run`] (`Panic`/`FailUntil`
+/// take the whole process down, which is what the supervisor's restart
+/// path exists for), plus [`Fault::DieAfter`]: exit cleanly after `n`
+/// completed jobs.
 pub fn worker_persistent(gen: u64, heartbeat: std::time::Duration) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
@@ -1244,6 +1227,66 @@ pub fn sharded_in_process(workload: &Workload, shards: usize, arrival: &[usize])
     assemble(workload, merger.finish().expect("all shards inserted"))
 }
 
+/// Runs `jobs` — `(shard index, job JSON)` pairs — on a private
+/// [`WorkerPool`] of at most `cap` `exe --worker` processes and returns
+/// exactly one verdict per job, in completion order. Never
+/// short-circuits, so the caller can merge the successes and retry
+/// exactly the failures.
+fn run_on_pool(
+    exe: &Path,
+    jobs: Vec<(usize, String)>,
+    cap: usize,
+) -> Vec<(usize, Result<String, ShardError>)> {
+    let (tx, outcomes) = std::sync::mpsc::channel::<PoolOutcome>();
+    let config = PoolConfig {
+        cap,
+        ..PoolConfig::default()
+    };
+    let pool = WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), config, tx);
+    let mut verdicts = Vec::with_capacity(jobs.len());
+    let mut pending = 0;
+    for (tag, (shard_index, input)) in jobs.into_iter().enumerate() {
+        let job = PoolJob {
+            tag: tag as u64,
+            shard_index,
+            input,
+            cache_key: String::new(),
+            delay: std::time::Duration::ZERO,
+        };
+        match pool.submit(job) {
+            Ok(()) => pending += 1,
+            Err(_) => verdicts.push((
+                shard_index,
+                Err(ShardError::Worker {
+                    shard: shard_index,
+                    reason: "worker pool refused the job: circuit breaker open".into(),
+                }),
+            )),
+        }
+    }
+    for _ in 0..pending {
+        let outcome = outcomes
+            .recv()
+            .expect("the pool supervisor answers every job it accepted");
+        verdicts.push((outcome.shard_index, outcome.result));
+    }
+    pool.shutdown();
+    verdicts
+}
+
+/// Runs one raw job (a [`job_to_json`] document, possibly hand-edited)
+/// in a worker subprocess of `exe` and returns the worker's result
+/// JSON. Failures — a crash, a kill, a refused job — name
+/// `shard_index`.
+pub fn run_job_subprocess(
+    exe: &Path,
+    shard_index: usize,
+    input: &str,
+) -> Result<String, ShardError> {
+    let mut verdicts = run_on_pool(exe, vec![(shard_index, input.to_string())], 1);
+    verdicts.pop().expect("one verdict per job").1
+}
+
 /// Runs one shard in a worker subprocess (`exe --worker`), decoding its
 /// result. Failures — panic, nonzero exit, truncated or malformed
 /// output — name the shard. This is also the retry primitive: re-run
@@ -1254,26 +1297,33 @@ pub fn run_shard_subprocess(
     shard: Shard,
     fault: Option<Fault>,
 ) -> Result<ShardResult<Payload>, ShardError> {
-    let cmd = WorkerCommand::new(exe, &["--worker"]);
-    let stdout = run_worker(&cmd, shard.index, &job_to_json(workload, shard, fault))?;
-    result_from_json(&stdout).map_err(|e| ShardError::Worker {
-        shard: shard.index,
+    let stdout = run_job_subprocess(exe, shard.index, &job_to_json(workload, shard, fault))?;
+    decode_worker_result(shard.index, &stdout)
+}
+
+/// Decodes a worker's result JSON; a malformed body names the shard.
+pub(crate) fn decode_worker_result(
+    shard: usize,
+    stdout: &str,
+) -> Result<ShardResult<Payload>, ShardError> {
+    result_from_json(stdout).map_err(|e| ShardError::Worker {
+        shard,
         reason: format!("decoding worker output: {e} (truncated stream?)"),
     })
 }
 
-/// Executes a workload as `shards` worker subprocesses — at most `cap`
-/// live at once, drained on readiness — and merges the results.
+/// Executes a workload as `shards` jobs on a pool of at most `cap`
+/// worker subprocesses and merges the results.
 /// `faults` maps shard indices to injected faults (tests).
 ///
-/// All workers get a verdict before this returns (no hang on a dead
+/// All jobs get a verdict before this returns (no hang on a dead
 /// worker, no short-circuit): if any failed, the error names the
 /// lowest-indexed failed shard and the successfully merged shards are
 /// discarded — re-driving, or re-running just the failed shards via
 /// [`run_shard_subprocess`], are both sound because merging is
 /// order-insensitive and idempotent. (The long-running service in
 /// [`crate::serve`] adds retry, backoff and straggler re-partition on
-/// top of the same primitives.)
+/// top of the same pool.)
 pub fn drive_subprocess_capped(
     exe: &Path,
     workload: &Workload,
@@ -1281,41 +1331,23 @@ pub fn drive_subprocess_capped(
     faults: &[(usize, Fault)],
     cap: usize,
 ) -> Result<SweepOutput, ShardError> {
-    let parts = Shard::partition(workload.total(), shards);
-    // Empty shards (fleet larger than the item space) contribute
-    // nothing to the merge — don't spawn processes for them.
-    let jobs: Vec<(usize, String)> = parts
-        .iter()
+    // Empty shards (more shards than items) contribute nothing to the
+    // merge — don't send them to a worker.
+    let jobs: Vec<(usize, String)> = Shard::partition(workload.total(), shards)
+        .into_iter()
         .filter(|s| !s.is_empty())
         .map(|s| {
             let fault = faults.iter().find(|(i, _)| *i == s.index).map(|(_, f)| *f);
-            (s.index, job_to_json(workload, *s, fault))
+            (s.index, job_to_json(workload, s, fault))
         })
         .collect();
-    let cmd = WorkerCommand::new(exe, &["--worker"]);
-    let outcomes = run_workers_capped(&cmd, &jobs, cap);
+    let mut verdicts = run_on_pool(exe, jobs, cap);
+    // Verdicts arrive in completion order; merging in index order makes
+    // the reported failure the lowest-indexed one, deterministically.
+    verdicts.sort_by_key(|(index, _)| *index);
     let mut merger = Merger::new(workload.total());
-    let mut first_failure: Option<ShardError> = None;
-    for (index, outcome) in outcomes {
-        let decoded = outcome.and_then(|stdout| {
-            result_from_json(&stdout).map_err(|e| ShardError::Worker {
-                shard: index,
-                reason: format!("decoding worker output: {e} (truncated stream?)"),
-            })
-        });
-        // Outcomes arrive in completion order; keep the lowest-indexed
-        // failure so the reported error is deterministic.
-        match decoded {
-            Ok(result) => merger.insert(result)?,
-            Err(e) => match &first_failure {
-                Some(ShardError::Worker { shard, .. }) if matches!(&e, ShardError::Worker { shard: s, .. } if s >= shard) =>
-                    {}
-                _ => first_failure = Some(e),
-            },
-        }
-    }
-    if let Some(e) = first_failure {
-        return Err(e);
+    for (index, outcome) in verdicts {
+        merger.insert(outcome.and_then(|stdout| decode_worker_result(index, &stdout))?)?;
     }
     Ok(assemble(workload, merger.finish()?))
 }

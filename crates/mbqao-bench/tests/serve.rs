@@ -299,3 +299,134 @@ fn serve_binary_round_trips_a_job_over_stdio() {
         "bye"
     );
 }
+
+/// A frame nested 200 000 levels deep must not overflow the parser's
+/// stack and abort the whole service (taking every tenant's job with
+/// it): it is answered with `rejected` while the same connection keeps
+/// serving — `ping` → `pong`, then a checked submit → a bit-identical
+/// `done`.
+#[test]
+fn deep_frame_is_rejected_and_the_service_keeps_serving() {
+    use std::process::{Command, Stdio};
+
+    let request = SubmitRequest {
+        id: 3,
+        workload: workload(),
+        shards: 2,
+        faults: vec![],
+        check: true,
+    };
+    let mut child = Command::new(serve_exe())
+        .args(["--cap", "2", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning mbqao-serve");
+    {
+        let mut stdin = child.stdin.take().expect("stdin piped");
+        stdin.write_all(&[b'['; 200_000]).unwrap();
+        stdin.write_all(b"\n").unwrap();
+        write_frame(
+            &mut stdin,
+            &Value::obj(vec![("type", Value::Str("ping".into()))]),
+        )
+        .unwrap();
+        write_frame(&mut stdin, &request.to_wire()).unwrap();
+        write_frame(
+            &mut stdin,
+            &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
+        )
+        .unwrap();
+    }
+    let out = child.wait_with_output().expect("service exits");
+    assert!(out.status.success(), "the service must survive the frame");
+    let frames = frames(&out.stdout);
+    let types: Vec<&str> = frames
+        .iter()
+        .map(|f| f.field("type").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(
+        types.iter().filter(|t| **t == "rejected").count(),
+        1,
+        "exactly the deep frame is rejected: {types:?}"
+    );
+    assert!(types.contains(&"pong"));
+    let done = frames
+        .iter()
+        .find(|f| f.field("type").unwrap().as_str().unwrap() == "done")
+        .expect("the submit after the deep frame must finish");
+    assert_eq!(done.field("id").unwrap().as_uint().unwrap(), 3);
+    assert!(done.field("bit_identical").unwrap().as_bool().unwrap());
+    assert_eq!(types.last(), Some(&"bye"));
+}
+
+/// Workers that always crash trip the pool's circuit breaker. The job
+/// then running must end in a `job_error` naming the open circuit, and
+/// a later submit on the same connection must get a prompt
+/// `job_error` too — nothing hangs, nothing falls back.
+#[test]
+fn open_circuit_breaker_fails_jobs_fast_with_a_named_error() {
+    let submit = |id: u64| SubmitRequest {
+        id,
+        workload: workload(),
+        shards: 2,
+        faults: vec![],
+        check: false,
+    };
+    let mut input = Vec::new();
+    write_frame(&mut input, &submit(1).to_wire()).unwrap();
+    write_frame(&mut input, &submit(2).to_wire()).unwrap();
+    write_frame(
+        &mut input,
+        &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
+    )
+    .unwrap();
+
+    let sink = SharedBuf::default();
+    let config = ServeConfig {
+        cap: 2,
+        // Plenty of retries and no quarantine: only the breaker (more
+        // than 8 deaths in 30 s by default) can end the first job.
+        retry: RetryPolicy::new(100, Duration::from_millis(1)),
+        quarantine_after: 1_000,
+        max_jobs: 1,
+        ..ServeConfig::default()
+    };
+    let started = std::time::Instant::now();
+    // `false` exits at once whatever its arguments: every worker dies.
+    let stats = serve(
+        std::io::Cursor::new(input),
+        sink.clone(),
+        std::path::Path::new("false"),
+        &config,
+    );
+    let elapsed = started.elapsed();
+    assert_eq!((stats.done, stats.failed, stats.rejected), (0, 2, 0));
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "an open breaker must fail jobs fast, took {elapsed:?}"
+    );
+
+    let frames = frames(&sink.0.lock().unwrap());
+    for id in [1u64, 2] {
+        let error = frames
+            .iter()
+            .find(|f| {
+                f.field("type").unwrap().as_str().unwrap() == "job_error"
+                    && f.field("id").unwrap().as_uint().unwrap() as u64 == id
+            })
+            .unwrap_or_else(|| panic!("job {id} must end in a job_error"));
+        let reason = error.field("reason").unwrap().as_str().unwrap();
+        assert!(
+            reason.contains("circuit breaker open"),
+            "job {id}'s error must name the open circuit: {reason}"
+        );
+    }
+    assert!(
+        !frames
+            .iter()
+            .any(|f| f.field("type").unwrap().as_str().unwrap() == "done"),
+        "no job may complete on a crashing worker binary"
+    );
+}

@@ -11,12 +11,10 @@
 
 use mbqao_bench::serve::{run_job, Event, ServeConfig};
 use mbqao_bench::sweep::{
-    drive_subprocess, job_to_json, monolithic, result_from_json, run_shard_subprocess, BackendKind,
-    FamilyRef, Fault, Workload,
+    drive_subprocess, job_to_json, monolithic, result_from_json, run_job_subprocess,
+    run_shard_subprocess, BackendKind, FamilyRef, Fault, Workload,
 };
-use mbqao_core::engine::shard::{
-    run_worker, Merger, RetryPolicy, Shard, ShardError, WorkerCommand,
-};
+use mbqao_core::engine::shard::{Merger, RetryPolicy, Shard, ShardError};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -271,9 +269,10 @@ fn oversized_job_spec_reaches_the_worker_without_deadlock() {
     padded.push_str(&format!(",\"padding\":\"{}\"}}", "x".repeat(300 * 1024)));
     assert!(padded.len() > 256 * 1024);
 
-    let cmd = WorkerCommand::new(worker_exe(), &["--worker"]);
-    let from_padded = run_worker(&cmd, shard.index, &padded).expect("padded job completes");
-    let from_lean = run_worker(&cmd, shard.index, &lean).expect("lean job completes");
+    let from_padded =
+        run_job_subprocess(&worker_exe(), shard.index, &padded).expect("padded job completes");
+    let from_lean =
+        run_job_subprocess(&worker_exe(), shard.index, &lean).expect("lean job completes");
     let a = result_from_json(&from_padded).expect("padded result decodes");
     let b = result_from_json(&from_lean).expect("lean result decodes");
     assert_eq!(a, b, "padding must not leak into the shard result");

@@ -80,7 +80,7 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
             }
         }
     };
-    let (output, stats) = run_job_with(&serve_exe(), Some(&pool), &spec, &config, None, &mut emit)
+    let (output, stats) = run_job_with(&serve_exe(), &pool, &spec, &config, None, &mut emit)
         .expect("SIGKILLed workers must be recovered by the supervisor");
     assert!(killed.get(), "the kill hook must have fired");
     assert!(
@@ -99,8 +99,8 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
 /// Affinity routing on a shared pool: a second job with the same cache
 /// key lands on the workers that just compiled its patterns, so the
 /// per-process compiled-pattern cache hits across **jobs** — the
-/// benefit the per-attempt subprocess path (fresh process, cold cache
-/// every time) can never have.
+/// benefit a fresh process per attempt (cold cache every time) could
+/// never have.
 #[test]
 fn affinity_routed_second_job_hits_warm_pattern_caches() {
     let w = workload(BackendKind::Pattern);
@@ -116,7 +116,7 @@ fn affinity_routed_second_job_hits_warm_pattern_caches() {
             shards: 2,
             faults: &[],
         };
-        run_job_with(&serve_exe(), Some(&pool), &spec, &config, None, &mut |_| {})
+        run_job_with(&serve_exe(), &pool, &spec, &config, None, &mut |_| {})
             .expect("clean job completes")
     };
     let (out1, _stats1) = run(1);
@@ -161,7 +161,7 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         shards: 3,
         faults: &[(1, Fault::FailUntil(99))],
     };
-    let err = run_job_with(&serve_exe(), Some(&pool), &spec, &base, None, &mut |_| {})
+    let err = run_job_with(&serve_exe(), &pool, &spec, &base, None, &mut |_| {})
         .expect_err("a shard that kills every worker must fail the job");
     match &err {
         ShardError::Worker { shard, reason } => {
@@ -189,7 +189,7 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
     };
     let pool = spawn_pool(&serve_exe(), &cfg);
     let mut events = Vec::new();
-    let (output, stats) = run_job_with(&serve_exe(), Some(&pool), &spec, &cfg, None, &mut |e| {
+    let (output, stats) = run_job_with(&serve_exe(), &pool, &spec, &cfg, None, &mut |e| {
         events.push(e)
     })
     .expect("allow_partial must complete the job around the poisoned range");
@@ -251,11 +251,12 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
         shards: 3,
         faults: &[],
     };
+    let pool = spawn_pool(&serve_exe(), &config);
     let mut journal = JobJournal::create(&dir, 11, &w, 3).expect("journal create");
     let path = journal.path().to_path_buf();
     let (full, _stats) = run_job_with(
         &serve_exe(),
-        None,
+        &pool,
         &spec,
         &config,
         Some(&mut journal),
@@ -277,7 +278,7 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
 
     let mut events = Vec::new();
     let (id, _wl, resumed, stats) =
-        resume_job(&serve_exe(), None, &path, &config, &mut |e| events.push(e))
+        resume_job(&serve_exe(), &pool, &path, &config, &mut |e| events.push(e))
             .expect("resume completes the job");
     assert_eq!(id, 11);
     assert_eq!(stats.replayed, 1, "exactly one intact partial replays");

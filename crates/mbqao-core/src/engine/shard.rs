@@ -21,23 +21,23 @@
 //!   concatenation, argmin selection, averaging) are bit-for-bit
 //!   independent of which shard landed first.
 //!
-//! Process boundaries are crossed with [`run_worker`] /
-//! [`run_workers`] / [`Fleet`]: the driver re-invokes a worker binary
-//! per shard and speaks JSON over stdio (see [`super::wire`] — floats
-//! travel as exact bit patterns). A worker that dies or emits a
+//! Process boundaries are crossed by one mechanism, the supervised
+//! [`WorkerPool`]: long-lived worker processes (a binary re-invoked in
+//! worker mode) speak JSON frames over stdio (see [`super::wire`] —
+//! floats travel as exact bit patterns). A worker that dies or emits a
 //! truncated stream surfaces as a [`ShardError::Worker`] naming the
 //! shard; the merger is never polluted by a failed shard, so retrying
 //! just that shard and inserting its result is always safe.
 //!
-//! Execution is **bounded and readiness-ordered**: the [`Fleet`] keeps
-//! at most `cap` worker processes alive at once (never one OS process
-//! per shard), job specs are written to worker stdin by a dedicated
-//! writer thread per child (an oversized job can never stall the
-//! scheduling loop), and results surface in *completion* order — a
-//! straggler shard never delays the verdicts of shards that finished
-//! behind it. [`RetryPolicy`] supplies the exponential backoff the
-//! scheduling layers apply between attempts, and an optional per-shard
-//! deadline lets an orchestrator kill and re-partition stragglers.
+//! Execution is **bounded and readiness-ordered**: the pool keeps at
+//! most `cap` worker processes alive at once, job frames are written
+//! to worker stdin by a dedicated writer thread per child (an oversized
+//! job can never stall the supervisor), and outcomes surface in
+//! *completion* order — a straggler shard never delays the verdicts of
+//! shards that finished behind it. [`RetryPolicy`] supplies the
+//! exponential backoff the scheduling layers apply between attempts,
+//! and an optional per-job deadline lets an orchestrator kill and
+//! re-partition stragglers.
 
 use super::wire::{read_frame, PoolFrame, Value, WireError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -70,7 +70,7 @@ impl Shard {
     /// Partitions `0..total` into `shards` contiguous, near-equal
     /// ranges (the first `total % shards` ranges are one longer). More
     /// shards than items yields trailing empty shards — degenerate but
-    /// legal, so a fixed fleet size works for any sweep.
+    /// legal, so a fixed shard count works for any sweep.
     ///
     /// # Panics
     /// Panics when `shards == 0`.
@@ -490,173 +490,6 @@ fn stderr_excerpt(stderr: &str) -> String {
     format!("{head} […] {tail}")
 }
 
-/// A spawned worker with its pipe pumps running: stdin is fed by a
-/// dedicated writer thread (so an arbitrarily large job spec can never
-/// block the thread that spawned the child — the old synchronous write
-/// silently serialized the whole fleet once a job crossed the pipe
-/// buffer), and stdout/stderr are drained by reader threads (so a
-/// child producing more output than a pipe buffer can never deadlock
-/// against a parent that only reads after `wait`).
-struct RunningWorker {
-    child: Child,
-    /// Writer thread: `Some(description)` when the stdin write failed
-    /// (e.g. EPIPE from a child that died before reading). Not fatal
-    /// by itself — the exit status tells the real story.
-    writer: JoinHandle<Option<String>>,
-    stdout: JoinHandle<Vec<u8>>,
-    stderr: JoinHandle<Vec<u8>>,
-}
-
-/// Spawns one worker and starts its three pipe pumps. A failed stdin
-/// write is *not* fatal here: the child is still returned so the drain
-/// step can reap it and report the real exit status and stderr — and
-/// an unreaped child would linger as a zombie.
-fn spawn_worker(
-    cmd: &WorkerCommand,
-    shard_index: usize,
-    input: &str,
-) -> Result<RunningWorker, ShardError> {
-    let mut child = Command::new(&cmd.exe)
-        .args(&cmd.args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|e| ShardError::Worker {
-            shard: shard_index,
-            reason: format!("spawn {:?}: {e}", cmd.exe),
-        })?;
-    let mut stdin = child.stdin.take().expect("stdin was piped");
-    let job = input.to_string();
-    // Dropping the handle at the end of the thread closes the pipe, so
-    // a partially-written job reads as truncated JSON on the worker
-    // side and fails loudly there.
-    let writer =
-        std::thread::spawn(move || stdin.write_all(job.as_bytes()).err().map(|e| e.to_string()));
-    let mut out_pipe = child.stdout.take().expect("stdout was piped");
-    let stdout = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = out_pipe.read_to_end(&mut buf);
-        buf
-    });
-    let mut err_pipe = child.stderr.take().expect("stderr was piped");
-    let stderr = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = err_pipe.read_to_end(&mut buf);
-        buf
-    });
-    Ok(RunningWorker {
-        child,
-        writer,
-        stdout,
-        stderr,
-    })
-}
-
-/// Reaps a worker and turns its output into the shard's verdict. With
-/// a `deadline`, a child still running when it expires is killed and
-/// reported as a straggler (`timed_out = true` in the bool) — the
-/// orchestration layer's cue to re-partition its range.
-fn drain_worker(
-    worker: RunningWorker,
-    shard_index: usize,
-    deadline: Option<Duration>,
-) -> (Result<String, ShardError>, bool) {
-    let fail = |reason: String| ShardError::Worker {
-        shard: shard_index,
-        reason,
-    };
-    let RunningWorker {
-        mut child,
-        writer,
-        stdout,
-        stderr,
-    } = worker;
-    let mut timed_out = false;
-    let status = match deadline {
-        None => child.wait(),
-        Some(limit) => {
-            // Readiness poll with a deadline: cheap (the child is a
-            // whole OS process; a 1 ms poll is noise next to spawn
-            // cost) and portable.
-            let t0 = Instant::now();
-            loop {
-                match child.try_wait() {
-                    Err(e) => break Err(e),
-                    Ok(Some(status)) => break Ok(status),
-                    Ok(None) if t0.elapsed() >= limit => {
-                        timed_out = true;
-                        let _ = child.kill();
-                        break child.wait();
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        }
-    };
-    // The pipe pumps finish once the child is gone (its pipe ends
-    // close); join order after wait() is deadlock-free. A pump that
-    // itself panicked must not cascade into this thread — treat it as
-    // a failed write / empty capture and let the exit status (already
-    // collected above) tell the story.
-    let write_error = writer
-        .join()
-        .unwrap_or_else(|_| Some("stdin writer thread panicked".into()));
-    let out = stdout.join().unwrap_or_default();
-    let err = stderr.join().unwrap_or_default();
-    let status = match status {
-        Ok(s) => s,
-        Err(e) => return (Err(fail(format!("collecting output: {e}"))), timed_out),
-    };
-    if timed_out {
-        let reason = format!(
-            "straggler killed after exceeding its {deadline:?} deadline; stderr: {}",
-            stderr_excerpt(&String::from_utf8_lossy(&err)),
-            deadline = deadline.expect("timed out implies a deadline"),
-        );
-        return (Err(fail(reason)), true);
-    }
-    if !status.success() {
-        let mut reason = format!(
-            "exited with {status}; stderr: {}",
-            stderr_excerpt(&String::from_utf8_lossy(&err))
-        );
-        if let Some(e) = write_error {
-            reason.push_str(&format!(" (job write also failed: {e})"));
-        }
-        return (Err(fail(reason)), false);
-    }
-    if let Some(e) = write_error {
-        return (
-            Err(fail(format!(
-                "writing job to stdin failed ({e}) though the worker exited 0"
-            ))),
-            false,
-        );
-    }
-    (
-        String::from_utf8(out).map_err(|e| fail(format!("non-UTF-8 output: {e}"))),
-        false,
-    )
-}
-
-/// Runs one worker subprocess for shard `shard_index`: writes `input`
-/// (a job description) to its stdin, closes it, and reads stdout to
-/// EOF. Any failure — spawn error, nonzero exit (e.g. a panic), or a
-/// kill — becomes a [`ShardError::Worker`] naming the shard, with an
-/// excerpt of the worker's stderr for diagnosis. Decoding the returned
-/// stdout is the caller's job (map decode failures to
-/// [`ShardError::Worker`] too, so truncated output also names its
-/// shard).
-pub fn run_worker(
-    cmd: &WorkerCommand,
-    shard_index: usize,
-    input: &str,
-) -> Result<String, ShardError> {
-    let worker = spawn_worker(cmd, shard_index, input)?;
-    drain_worker(worker, shard_index, None).0
-}
-
 // ------------------------------------------------------ retry & backoff
 
 /// Exponential-backoff retry policy for failed shards.
@@ -710,192 +543,6 @@ impl RetryPolicy {
     }
 }
 
-// --------------------------------------------------------------- fleet
-
-/// One job handed to the [`Fleet`]: an opaque stdin payload for shard
-/// `shard_index`, tagged so the submitter can correlate the outcome
-/// (the same shard may be in flight more than once across retries).
-#[derive(Debug, Clone)]
-pub struct FleetJob {
-    /// Submitter-chosen correlation tag (unique per submission).
-    pub tag: u64,
-    /// Shard index named in any resulting [`ShardError::Worker`].
-    pub shard_index: usize,
-    /// The job description written to the worker's stdin.
-    pub input: String,
-    /// Delay before execution (retry backoff; `ZERO` for first runs).
-    /// The delay occupies the worker slot — backoff is deliberately
-    /// not free concurrency.
-    pub delay: Duration,
-}
-
-/// One completed [`FleetJob`], delivered in completion order.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// The submitter's correlation tag.
-    pub tag: u64,
-    /// The job's shard index.
-    pub shard_index: usize,
-    /// The worker's stdout, or the failure naming the shard.
-    pub result: Result<String, ShardError>,
-    /// Wall-clock from dequeue (after any backoff delay) to verdict.
-    pub elapsed: Duration,
-    /// Whether the worker was killed as a straggler (deadline
-    /// exceeded) — the cue to re-partition instead of plain retry.
-    pub timed_out: bool,
-}
-
-/// Concurrency + latency counters of a [`Fleet`], readable at any
-/// point (and after [`Fleet::shutdown`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetStats {
-    /// Worker processes spawned over the fleet's lifetime.
-    pub spawned: usize,
-    /// Maximum simultaneously live worker processes ever observed.
-    pub max_live: usize,
-}
-
-#[derive(Default)]
-struct FleetGauge {
-    spawned: AtomicUsize,
-    live: AtomicUsize,
-    max_live: AtomicUsize,
-}
-
-/// A bounded worker fleet: at most `cap` worker processes live at any
-/// instant, fed from a shared queue and drained **on readiness** —
-/// outcomes surface the moment a worker finishes, regardless of
-/// submission order, so one straggler never holds up the verdicts of
-/// shards that completed behind it.
-///
-/// This replaces the old `spawn-all-then-reap-in-index-order` driver,
-/// which forked one OS process per shard with no cap (a 64-shard sweep
-/// meant 64 simultaneous workers on a 1-core host) and whose serial
-/// drain suffered head-of-line blocking.
-pub struct Fleet {
-    jobs: Option<mpsc::Sender<FleetJob>>,
-    outcomes: mpsc::Receiver<FleetOutcome>,
-    runners: Vec<JoinHandle<()>>,
-    gauge: Arc<FleetGauge>,
-}
-
-impl Fleet {
-    /// Starts `cap` runner threads executing `cmd` per job. With a
-    /// `deadline`, any single worker exceeding it is killed and
-    /// reported with `timed_out = true`.
-    pub fn new(cmd: WorkerCommand, cap: usize, deadline: Option<Duration>) -> Fleet {
-        let cap = cap.max(1);
-        let (job_tx, job_rx) = mpsc::channel::<FleetJob>();
-        let (out_tx, out_rx) = mpsc::channel::<FleetOutcome>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let gauge = Arc::new(FleetGauge::default());
-        let runners = (0..cap)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let out_tx = out_tx.clone();
-                let cmd = cmd.clone();
-                let gauge = Arc::clone(&gauge);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the run.
-                    // A runner that panicked while holding this lock
-                    // poisons the mutex; the receiver it protects is
-                    // still perfectly valid, so recover the guard —
-                    // one bad shard must fail *its* shard, not
-                    // cascade panics across every remaining runner.
-                    let job = match lock_unpoisoned(&job_rx).recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // queue closed: fleet shutdown
-                    };
-                    if !job.delay.is_zero() {
-                        std::thread::sleep(job.delay);
-                    }
-                    gauge.spawned.fetch_add(1, Ordering::Relaxed);
-                    let live = gauge.live.fetch_add(1, Ordering::SeqCst) + 1;
-                    gauge.max_live.fetch_max(live, Ordering::SeqCst);
-                    let t0 = Instant::now();
-                    let (result, timed_out) = match spawn_worker(&cmd, job.shard_index, &job.input)
-                    {
-                        Err(e) => (Err(e), false),
-                        Ok(worker) => drain_worker(worker, job.shard_index, deadline),
-                    };
-                    gauge.live.fetch_sub(1, Ordering::SeqCst);
-                    let delivered = out_tx.send(FleetOutcome {
-                        tag: job.tag,
-                        shard_index: job.shard_index,
-                        result,
-                        elapsed: t0.elapsed(),
-                        timed_out,
-                    });
-                    if delivered.is_err() {
-                        return; // receiver gone: nobody wants verdicts
-                    }
-                })
-            })
-            .collect();
-        Fleet {
-            jobs: Some(job_tx),
-            outcomes: out_rx,
-            runners,
-            gauge,
-        }
-    }
-
-    /// Enqueues a job. Returns the job back when the fleet has already
-    /// shut down.
-    pub fn submit(&self, job: FleetJob) -> Result<(), FleetJob> {
-        match &self.jobs {
-            Some(tx) => tx.send(job).map_err(|e| e.0),
-            None => Err(job),
-        }
-    }
-
-    /// The next outcome in **completion order**, blocking while any
-    /// job is queued or in flight. `None` once the fleet is shut down
-    /// and drained.
-    pub fn recv(&self) -> Option<FleetOutcome> {
-        self.outcomes.recv().ok()
-    }
-
-    /// [`Fleet::recv`] with a timeout: `None` on timeout *or* once the
-    /// fleet is drained (callers track their own in-flight count and
-    /// only poll while jobs are outstanding).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<FleetOutcome> {
-        self.outcomes.recv_timeout(timeout).ok()
-    }
-
-    /// Current concurrency counters.
-    pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            spawned: self.gauge.spawned.load(Ordering::SeqCst),
-            max_live: self.gauge.max_live.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Closes the queue, waits for in-flight jobs to finish, and
-    /// returns the final counters. Undelivered outcomes are dropped.
-    pub fn shutdown(mut self) -> FleetStats {
-        self.join_runners();
-        self.stats()
-    }
-
-    fn join_runners(&mut self) {
-        self.jobs = None; // close the queue: runners exit at next recv
-        for runner in self.runners.drain(..) {
-            // A runner that panicked already surfaced its job's failure
-            // (or dropped its outcome sender); propagating the panic
-            // here — possibly from Drop during another unwind — would
-            // abort the process instead of failing one shard.
-            let _ = runner.join();
-        }
-    }
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        self.join_runners();
-    }
-}
-
 /// The default worker cap: the host's available parallelism.
 pub fn default_worker_cap() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -904,52 +551,13 @@ pub fn default_worker_cap() -> usize {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every mutex in this module protects state that stays structurally
-/// valid across a panic (an mpsc receiver, an output buffer, a pipe
-/// writer) — there is no invariant a half-finished critical section
-/// could have broken. Propagating the poison would instead cascade one
-/// worker's panic across every thread that touches the lock afterwards,
-/// which is exactly the blast radius the fleet/pool design bounds to a
-/// single shard.
+/// valid across a panic (an output buffer, a pid list) — there is no
+/// invariant a half-finished critical section could have broken.
+/// Propagating the poison would instead cascade one worker's panic
+/// across every thread that touches the lock afterwards, which is
+/// exactly the blast radius the pool design bounds to a single shard.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs one worker per `(shard_index, job)` pair — **bounded** at
-/// `cap` simultaneously live workers — and returns each shard's
-/// outcome in completion order (never short-circuits: every shard gets
-/// a verdict, so the caller can merge the successes and retry exactly
-/// the failures).
-pub fn run_workers_capped(
-    cmd: &WorkerCommand,
-    jobs: &[(usize, String)],
-    cap: usize,
-) -> Vec<(usize, Result<String, ShardError>)> {
-    let fleet = Fleet::new(cmd.clone(), cap, None);
-    for (tag, (index, input)) in jobs.iter().enumerate() {
-        fleet
-            .submit(FleetJob {
-                tag: tag as u64,
-                shard_index: *index,
-                input: input.clone(),
-                delay: Duration::ZERO,
-            })
-            .expect("fleet alive");
-    }
-    (0..jobs.len())
-        .map(|_| {
-            let outcome = fleet.recv().expect("one outcome per job");
-            (outcome.shard_index, outcome.result)
-        })
-        .collect()
-}
-
-/// [`run_workers_capped`] at the [`default_worker_cap`] — the bounded
-/// replacement for the old unbounded one-process-per-shard driver.
-pub fn run_workers(
-    cmd: &WorkerCommand,
-    jobs: &[(usize, String)],
-) -> Vec<(usize, Result<String, ShardError>)> {
-    run_workers_capped(cmd, jobs, default_worker_cap())
 }
 
 // ---------------------------------------------- supervised worker pool
@@ -980,8 +588,8 @@ pub struct PoolConfig {
     /// Circuit breaker: more than this many unexpected worker deaths
     /// inside `restart_window` trips the pool — every queued and
     /// in-flight job fails fast with `circuit_open = true` and further
-    /// submissions are refused, so a systemically crashing fleet
-    /// degrades to the caller's fallback path instead of fork-bombing.
+    /// submissions are refused, so a systemically crashing pool fails
+    /// its callers fast instead of fork-bombing.
     pub max_restarts: usize,
     /// Sliding window for `max_restarts`.
     pub restart_window: Duration,
@@ -1001,18 +609,20 @@ impl Default for PoolConfig {
     }
 }
 
-/// One job for the pool: like [`FleetJob`] plus the `cache_key` the
-/// dispatcher routes on (jobs with the same key prefer the worker that
-/// last ran that key, so process-wide compile caches hit cross-shard
-/// and cross-job).
+/// One job for the pool: an opaque job payload for shard
+/// `shard_index`, tagged so the submitter can correlate the outcome
+/// (the same shard may be in flight more than once across retries),
+/// plus the `cache_key` the dispatcher routes on (jobs with the same
+/// key prefer the worker that last ran that key, so process-wide
+/// compile caches hit cross-shard and cross-job).
 #[derive(Debug, Clone)]
 pub struct PoolJob {
     /// Caller's correlation tag, echoed in the outcome.
     pub tag: u64,
     /// Which shard this job computes (quarantine is keyed on this).
     pub shard_index: usize,
-    /// The job description (one line of JSON — the same payload a
-    /// one-shot worker reads from stdin).
+    /// The job description (one JSON document, carried as the body
+    /// of a [`PoolFrame::Job`]).
     pub input: String,
     /// Affinity routing key (workloads sharing compiled state share a
     /// key).
@@ -1039,7 +649,7 @@ pub struct PoolOutcome {
     /// is dead-lettered and must not be retried as-is.
     pub quarantined: bool,
     /// The pool's restart-rate circuit breaker is open; the job was
-    /// not (fully) attempted and may be retried on a fallback path.
+    /// not (fully) attempted and the pool accepts no further work.
     pub circuit_open: bool,
 }
 
@@ -1149,7 +759,8 @@ struct Slot {
     /// worker's stdin (its cue for a clean exit).
     job_tx: Option<mpsc::Sender<String>>,
     stderr: Arc<Mutex<Vec<u8>>>,
-    pumps: Vec<JoinHandle<()>>,
+    /// Disconnects when the stderr pump reaches EOF.
+    stderr_eof: Option<mpsc::Receiver<()>>,
     last_seen: Instant,
     busy_since: Instant,
     /// `cache_key` of the last job this worker completed.
@@ -1166,18 +777,85 @@ impl Slot {
             child: None,
             job_tx: None,
             stderr: Arc::new(Mutex::new(Vec::new())),
-            pumps: Vec::new(),
+            stderr_eof: None,
             last_seen: Instant::now(),
             busy_since: Instant::now(),
             last_key: None,
             job: None,
         }
     }
+
+    /// Stops the slot's worker and returns its stderr excerpt (`None`
+    /// when the slot holds no worker). With a nonzero `grace` the
+    /// worker is first asked to exit by closing its stdin; one still
+    /// running when the grace expires is killed — as is, at once, any
+    /// worker retired with a zero grace. A kill takes the worker's
+    /// whole process group: a descendant that inherited the pipes
+    /// (a shell's `sleep`, say) would otherwise keep them open.
+    ///
+    /// Never joins a pipe pump. The excerpt waits at most
+    /// [`STDERR_GRACE`] for the stderr pump to drain, so a descendant
+    /// that escaped the kill still cannot stall the supervisor.
+    fn retire(&mut self, grace: Duration) -> Option<String> {
+        let mut child = self.child.take()?;
+        self.job_tx = None; // the writer thread exits, closing stdin
+        let exited = !grace.is_zero() && {
+            let deadline = Instant::now() + grace;
+            loop {
+                match child.try_wait() {
+                    Ok(None) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Ok(None) => break false,
+                    _ => break true,
+                }
+            }
+        };
+        if !exited {
+            // Still unreaped, so its pid (the group id) is not reused.
+            kill_process_group(child.id());
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        if let Some(eof) = self.stderr_eof.take() {
+            let _ = eof.recv_timeout(STDERR_GRACE);
+        }
+        self.state = SlotState::Vacant;
+        self.last_key = None;
+        Some(stderr_excerpt(&String::from_utf8_lossy(&lock_unpoisoned(
+            &self.stderr,
+        ))))
+    }
 }
+
+/// SIGKILLs every process in the group led by `pid`. Pool workers are
+/// spawned as group leaders, so this reaches their descendants too.
+#[cfg(unix)]
+fn kill_process_group(pid: u32) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGKILL: i32 = 9;
+    if let Ok(pid) = i32::try_from(pid) {
+        // SAFETY: kill(2) takes two integers and touches no memory.
+        unsafe {
+            kill(-pid, SIGKILL);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+fn kill_process_group(_pid: u32) {}
 
 /// Cap on the retained stderr of a live pool worker (only an excerpt
 /// is ever reported; an endlessly chatty worker must not grow memory).
 const POOL_STDERR_CAP: usize = 64 * 1024;
+
+/// Longest a retiring worker's stderr pump is awaited: enough for the
+/// last words of a process that just died, short enough that a
+/// descendant holding the pipe open costs the supervisor this much,
+/// never a stall.
+const STDERR_GRACE: Duration = Duration::from_millis(200);
 
 /// Fairness bound shared by every cache-affinity scheduler in the
 /// stack (the pool's slot dispatch and the serve layer's job/shard
@@ -1203,7 +881,8 @@ struct PoolSupervisor {
     /// Timestamps of breaker-relevant deaths inside `restart_window`.
     breaker: VecDeque<Instant>,
     next_gen: u64,
-    out_tx: mpsc::Sender<PoolOutcome>,
+    /// Hands each verdict to the pool's owner (see [`WorkerPool::new`]).
+    deliver: Box<dyn Fn(PoolOutcome) + Send>,
     sup_tx: mpsc::Sender<SupMsg>,
     shared: Arc<PoolShared>,
 }
@@ -1266,7 +945,7 @@ impl PoolSupervisor {
                     let elapsed = s.busy_since.elapsed();
                     self.deaths.remove(&job.shard_index);
                     self.shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.out_tx.send(PoolOutcome {
+                    (self.deliver)(PoolOutcome {
                         tag: job.tag,
                         shard_index: job.shard_index,
                         result: Ok(body),
@@ -1315,18 +994,9 @@ impl PoolSupervisor {
     /// per `kind`, and applies restart/breaker/quarantine accounting.
     fn reap(&mut self, slot: usize, kind: DeathKind, reason: &str) {
         let s = &mut self.slots[slot];
-        let Some(mut child) = s.child.take() else {
+        let Some(excerpt) = s.retire(Duration::ZERO) else {
             return;
         };
-        s.job_tx = None; // writer thread exits on the closed channel
-        let _ = child.kill();
-        let _ = child.wait();
-        for pump in s.pumps.drain(..) {
-            let _ = pump.join();
-        }
-        let excerpt = stderr_excerpt(&String::from_utf8_lossy(&lock_unpoisoned(&s.stderr)));
-        s.state = SlotState::Vacant;
-        s.last_key = None;
         let job = s.job.take();
         self.shared.live.fetch_sub(1, Ordering::SeqCst);
         self.shared.restarts.fetch_add(1, Ordering::Relaxed);
@@ -1384,15 +1054,7 @@ impl PoolSupervisor {
         }
         for i in 0..self.slots.len() {
             let s = &mut self.slots[i];
-            if let Some(mut child) = s.child.take() {
-                s.job_tx = None;
-                let _ = child.kill();
-                let _ = child.wait();
-                for pump in s.pumps.drain(..) {
-                    let _ = pump.join();
-                }
-                s.state = SlotState::Vacant;
-                s.last_key = None;
+            if s.retire(Duration::ZERO).is_some() {
                 self.shared.live.fetch_sub(1, Ordering::SeqCst);
                 if let Some(job) = s.job.take() {
                     self.fail_job(job, None, false, true);
@@ -1425,7 +1087,7 @@ impl PoolSupervisor {
             "shard {} quarantined after killing {kills} workers; last stderr: {stderr}",
             job.shard_index
         );
-        let _ = self.out_tx.send(PoolOutcome {
+        (self.deliver)(PoolOutcome {
             tag: job.tag,
             shard_index: job.shard_index,
             result: Err(ShardError::Worker {
@@ -1448,7 +1110,7 @@ impl PoolSupervisor {
             ),
             None => "worker pool shut down".to_string(),
         };
-        let _ = self.out_tx.send(PoolOutcome {
+        (self.deliver)(PoolOutcome {
             tag: job.tag,
             shard_index: job.shard_index,
             result: Err(ShardError::Worker {
@@ -1579,7 +1241,8 @@ impl PoolSupervisor {
         let gen = self.next_gen;
         let gen_s = gen.to_string();
         let hb_ms = self.config.heartbeat.as_millis().max(1).to_string();
-        let mut child = Command::new(&self.cmd.exe)
+        let mut command = Command::new(&self.cmd.exe);
+        command
             .args(&self.cmd.args)
             .args([
                 "--persistent",
@@ -1590,13 +1253,20 @@ impl PoolSupervisor {
             ])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
+            .stderr(Stdio::piped());
+        // Its own process group, so `Slot::retire` can kill the worker
+        // together with every descendant holding its pipes.
+        #[cfg(unix)]
+        std::os::unix::process::CommandExt::process_group(&mut command, 0);
+        let mut child = command
             .spawn()
             .map_err(|e| format!("spawning pool worker: {e}"))?;
         let pid = child.id();
         let (job_tx, job_rx) = mpsc::channel::<String>();
         let mut stdin = child.stdin.take().expect("stdin was piped");
-        let writer = std::thread::spawn(move || {
+        // The three pipe pumps are detached: the supervisor never joins
+        // them (see `Slot::retire`).
+        std::thread::spawn(move || {
             while let Ok(line) = job_rx.recv() {
                 if stdin
                     .write_all(line.as_bytes())
@@ -1610,7 +1280,7 @@ impl PoolSupervisor {
         });
         let out_pipe = child.stdout.take().expect("stdout was piped");
         let sup_tx = self.sup_tx.clone();
-        let reader = std::thread::spawn(move || {
+        std::thread::spawn(move || {
             let mut r = BufReader::new(out_pipe);
             loop {
                 match read_frame(&mut r) {
@@ -1651,7 +1321,9 @@ impl PoolSupervisor {
         let mut err_pipe = child.stderr.take().expect("stderr was piped");
         let stderr_buf = Arc::new(Mutex::new(Vec::new()));
         let stderr_sink = Arc::clone(&stderr_buf);
-        let stderr = std::thread::spawn(move || {
+        let (eof_tx, stderr_eof) = mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let _eof = eof_tx; // dropped at EOF, waking `Slot::retire`
             let mut chunk = [0u8; 4096];
             while let Ok(n) = err_pipe.read(&mut chunk) {
                 if n == 0 {
@@ -1669,7 +1341,7 @@ impl PoolSupervisor {
         s.child = Some(child);
         s.job_tx = Some(job_tx);
         s.stderr = stderr_buf;
-        s.pumps = vec![writer, reader, stderr];
+        s.stderr_eof = Some(stderr_eof);
         s.last_seen = Instant::now();
         s.last_key = None;
         s.job = None;
@@ -1687,25 +1359,8 @@ impl PoolSupervisor {
     fn shutdown_workers(&mut self) {
         for i in 0..self.slots.len() {
             let s = &mut self.slots[i];
-            let Some(mut child) = s.child.take() else {
+            if s.retire(Duration::from_millis(500)).is_none() {
                 continue;
-            };
-            s.job_tx = None; // closes stdin via the writer thread
-            let deadline = Instant::now() + Duration::from_millis(500);
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() >= deadline => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(2)),
-                    Err(_) => break,
-                }
-            }
-            for pump in s.pumps.drain(..) {
-                let _ = pump.join();
             }
             self.shared.live.fetch_sub(1, Ordering::SeqCst);
             if let Some(job) = s.job.take() {
@@ -1716,14 +1371,13 @@ impl PoolSupervisor {
     }
 }
 
-/// A supervised pool of **persistent** worker processes.
+/// A supervised pool of **persistent** worker processes — the one way
+/// this crate runs a worker.
 ///
-/// Where [`Fleet`] spawns one subprocess per shard attempt, the pool
-/// keeps up to `cap` workers alive across jobs, speaking
+/// The pool keeps up to `cap` workers alive across jobs, speaking
 /// [`PoolFrame`]s over stdio, and routes jobs to workers by
 /// `cache_key` affinity — so a worker's process-wide compile caches
-/// hit cross-shard and cross-job (per-attempt subprocesses by
-/// construction always report cold caches).
+/// hit cross-shard and cross-job.
 ///
 /// The supervisor thread owns all worker state and provides the
 /// robustness layer:
@@ -1736,14 +1390,12 @@ impl PoolSupervisor {
 ///   from a killed worker can never corrupt a result;
 /// * **restart + circuit breaker** — dead workers are respawned
 ///   lazily, but more than `max_restarts` deaths inside
-///   `restart_window` opens the circuit and fails everything fast
-///   (the caller degrades to the per-attempt path);
+///   `restart_window` opens the circuit and fails everything fast;
 /// * **poison-shard quarantine** — a shard that kills
 ///   `quarantine_after` successive workers is dead-lettered
 ///   ([`WorkerPool::dead_letters`]) instead of retried forever.
 pub struct WorkerPool {
     sup_tx: mpsc::Sender<SupMsg>,
-    outcomes: mpsc::Receiver<PoolOutcome>,
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<PoolShared>,
 }
@@ -1752,9 +1404,17 @@ impl WorkerPool {
     /// Starts the supervisor (workers spawn lazily on demand). `cmd`
     /// is the worker invocation *without* the persistent-mode flags —
     /// the pool appends `--persistent --gen <g> --heartbeat-ms <ms>`.
-    pub fn new(cmd: WorkerCommand, config: PoolConfig) -> WorkerPool {
+    ///
+    /// Every submitted job's [`PoolOutcome`] is sent, in completion
+    /// order, to `outcomes` — converted into the owner's own event
+    /// type, so one channel can carry pool verdicts next to whatever
+    /// else the owner's event loop waits on. The pool drops its sender
+    /// when the supervisor exits (shutdown, or a supervisor panic).
+    pub fn new<T>(cmd: WorkerCommand, config: PoolConfig, outcomes: mpsc::Sender<T>) -> WorkerPool
+    where
+        T: From<PoolOutcome> + Send + 'static,
+    {
         let (sup_tx, sup_rx) = mpsc::channel();
-        let (out_tx, out_rx) = mpsc::channel();
         let shared = Arc::new(PoolShared::default());
         let supervisor = PoolSupervisor {
             slots: (0..config.cap.max(1)).map(|_| Slot::vacant()).collect(),
@@ -1766,22 +1426,22 @@ impl WorkerPool {
             affinity_streak: 0,
             breaker: VecDeque::new(),
             next_gen: 0,
-            out_tx,
+            deliver: Box::new(move |outcome| {
+                let _ = outcomes.send(T::from(outcome));
+            }),
             sup_tx: sup_tx.clone(),
             shared: Arc::clone(&shared),
         };
         let handle = std::thread::spawn(move || supervisor.run(sup_rx));
         WorkerPool {
             sup_tx,
-            outcomes: out_rx,
             supervisor: Some(handle),
             shared,
         }
     }
 
     /// Enqueues a job. Returns the job back if the pool cannot take it
-    /// (circuit open or supervisor gone) — the caller's cue to run it
-    /// on a fallback path.
+    /// (circuit open or supervisor gone); no outcome follows then.
     pub fn submit(&self, job: PoolJob) -> Result<(), PoolJob> {
         if self.shared.tripped.load(Ordering::SeqCst) {
             return Err(job);
@@ -1791,17 +1451,6 @@ impl WorkerPool {
             Err(mpsc::SendError(SupMsg::Job(job))) => Err(job),
             Err(_) => unreachable!("send returns the sent message"),
         }
-    }
-
-    /// The next outcome in completion order (blocking). `None` only if
-    /// the supervisor died.
-    pub fn recv(&self) -> Option<PoolOutcome> {
-        self.outcomes.recv().ok()
-    }
-
-    /// [`WorkerPool::recv`] with a timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<PoolOutcome> {
-        self.outcomes.recv_timeout(timeout).ok()
     }
 
     /// Snapshot of the pool-lifetime counters.
@@ -2092,119 +1741,6 @@ mod tests {
         assert_eq!(RetryPolicy::NONE.backoff(1), Duration::ZERO);
     }
 
-    /// `cat` is a protocol-faithful worker: reads stdin to EOF, echoes
-    /// it to stdout, exits 0 — ideal for exercising the fleet plumbing
-    /// without building a real worker binary.
-    fn cat() -> WorkerCommand {
-        WorkerCommand::new("cat", &[])
-    }
-
-    #[test]
-    fn fleet_bounds_live_workers_and_echoes_every_job() {
-        let fleet = Fleet::new(cat(), 2, None);
-        let jobs = 7usize;
-        for tag in 0..jobs {
-            fleet
-                .submit(FleetJob {
-                    tag: tag as u64,
-                    shard_index: tag,
-                    input: format!("job {tag}"),
-                    delay: Duration::ZERO,
-                })
-                .unwrap();
-        }
-        let mut seen = vec![false; jobs];
-        for _ in 0..jobs {
-            let outcome = fleet.recv().expect("one outcome per job");
-            assert_eq!(
-                outcome.result.as_deref().unwrap(),
-                format!("job {}", outcome.tag)
-            );
-            assert!(!outcome.timed_out);
-            seen[outcome.tag as usize] = true;
-        }
-        let stats = fleet.shutdown();
-        assert!(seen.iter().all(|s| *s), "every job got a verdict");
-        assert_eq!(stats.spawned, jobs);
-        assert!(
-            stats.max_live <= 2,
-            "cap 2 exceeded: {} live workers observed",
-            stats.max_live
-        );
-    }
-
-    #[test]
-    fn oversized_job_spec_round_trips_without_blocking_the_spawn_path() {
-        // 1 MiB ≫ any pipe buffer: with the old synchronous stdin
-        // write this would stall the submitting thread until the child
-        // drained it; the writer thread makes submission O(1).
-        let big = "x".repeat(1 << 20);
-        let fleet = Fleet::new(cat(), 2, None);
-        let t0 = Instant::now();
-        for tag in 0..3u64 {
-            fleet
-                .submit(FleetJob {
-                    tag,
-                    shard_index: tag as usize,
-                    input: big.clone(),
-                    delay: Duration::ZERO,
-                })
-                .unwrap();
-        }
-        let submit_elapsed = t0.elapsed();
-        for _ in 0..3 {
-            let outcome = fleet.recv().unwrap();
-            assert_eq!(outcome.result.unwrap().len(), big.len());
-        }
-        // Submission only enqueues; generous bound to stay jitter-proof.
-        assert!(
-            submit_elapsed < Duration::from_secs(5),
-            "submission must not block on stdin writes"
-        );
-    }
-
-    #[test]
-    fn straggler_deadline_kills_and_flags_timeout() {
-        let sleeper = WorkerCommand::new("sh", &["-c", "cat >/dev/null; sleep 30"]);
-        let fleet = Fleet::new(sleeper, 1, Some(Duration::from_millis(50)));
-        fleet
-            .submit(FleetJob {
-                tag: 9,
-                shard_index: 4,
-                input: "job".into(),
-                delay: Duration::ZERO,
-            })
-            .unwrap();
-        let outcome = fleet.recv().unwrap();
-        assert!(outcome.timed_out, "deadline must flag the straggler");
-        match outcome.result {
-            Err(ShardError::Worker { shard, reason }) => {
-                assert_eq!(shard, 4);
-                assert!(
-                    reason.contains("straggler"),
-                    "reason names the kill: {reason}"
-                );
-            }
-            other => panic!("expected a worker error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn failed_worker_names_shard_in_completion_order_drain() {
-        let failer = WorkerCommand::new("sh", &["-c", "cat >/dev/null; echo boom >&2; exit 3"]);
-        let outcomes = run_workers_capped(&failer, &[(0, "a".into()), (1, "b".into())], 2);
-        assert_eq!(outcomes.len(), 2);
-        for (index, result) in outcomes {
-            match result {
-                Err(ShardError::Worker { shard, reason }) => {
-                    assert_eq!(shard, index);
-                    assert!(reason.contains("boom"), "stderr excerpt surfaced: {reason}");
-                }
-                other => panic!("expected failure, got {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn poisoned_mutex_recovers_instead_of_cascading() {
         let m = Arc::new(Mutex::new(41));
@@ -2239,6 +1775,15 @@ mod tests {
         }
     }
 
+    /// A pool whose outcomes land on the returned receiver.
+    fn pool_with(
+        cmd: WorkerCommand,
+        config: PoolConfig,
+    ) -> (WorkerPool, mpsc::Receiver<PoolOutcome>) {
+        let (tx, outcomes) = mpsc::channel();
+        (WorkerPool::new(cmd, config, tx), outcomes)
+    }
+
     fn pool_job(tag: u64, shard_index: usize, cache_key: &str) -> PoolJob {
         PoolJob {
             tag,
@@ -2261,6 +1806,19 @@ mod tests {
         )
     }
 
+    /// Answers every job frame with a result frame carrying the job's
+    /// own body: `perl` rewrites the frame type and keeps the
+    /// generation and body verbatim, flushing after every line.
+    fn echo_worker() -> WorkerCommand {
+        WorkerCommand::new(
+            "sh",
+            &[
+                "-c",
+                r#"exec perl -pe 'BEGIN { $| = 1 } s/^\{"type":"job"/{"type":"result"/'"#,
+            ],
+        )
+    }
+
     /// Reads one job, prints a marker to stderr, and dies.
     fn crashing_worker() -> WorkerCommand {
         WorkerCommand::new("sh", &["-c", "read -r line; echo poisonous >&2; exit 1"])
@@ -2268,12 +1826,12 @@ mod tests {
 
     #[test]
     fn pool_reuses_workers_and_routes_by_cache_affinity() {
-        let pool = WorkerPool::new(echo_pid_worker(), quiet_pool_config(2));
+        let (pool, outcomes) = pool_with(echo_pid_worker(), quiet_pool_config(2));
         let mut pid_of_key = std::collections::HashMap::new();
         for (tag, key) in ["alpha", "beta", "alpha", "beta"].iter().enumerate() {
             pool.submit(pool_job(tag as u64, tag, key))
                 .expect("pool accepts");
-            let outcome = pool.recv().expect("supervisor alive");
+            let outcome = outcomes.recv().expect("supervisor alive");
             assert_eq!(outcome.tag, tag as u64);
             let pid = outcome.result.expect("echo worker succeeds");
             match pid_of_key.get(*key) {
@@ -2299,11 +1857,11 @@ mod tests {
 
     #[test]
     fn dead_worker_failure_names_shard_and_pool_restarts() {
-        let pool = WorkerPool::new(crashing_worker(), quiet_pool_config(1));
+        let (pool, outcomes) = pool_with(crashing_worker(), quiet_pool_config(1));
         for (tag, shard_index) in [(0u64, 5usize), (1, 6)] {
             pool.submit(pool_job(tag, shard_index, "k"))
                 .expect("pool accepts");
-            let outcome = pool.recv().expect("supervisor alive");
+            let outcome = outcomes.recv().expect("supervisor alive");
             assert!(!outcome.quarantined && !outcome.circuit_open);
             match outcome.result {
                 Err(ShardError::Worker { shard, reason }) => {
@@ -2331,15 +1889,15 @@ mod tests {
             quarantine_after: 2,
             ..quiet_pool_config(1)
         };
-        let pool = WorkerPool::new(crashing_worker(), config);
+        let (pool, outcomes) = pool_with(crashing_worker(), config);
         // First kill: a plain failure (the orchestrator may retry).
         pool.submit(pool_job(0, 9, "k")).expect("pool accepts");
-        let first = pool.recv().expect("supervisor alive");
+        let first = outcomes.recv().expect("supervisor alive");
         assert!(!first.quarantined, "one kill is below the threshold");
         assert!(first.result.is_err());
         // Second kill of the same shard: quarantined, dead-lettered.
         pool.submit(pool_job(1, 9, "k")).expect("pool accepts");
-        let second = pool.recv().expect("supervisor alive");
+        let second = outcomes.recv().expect("supervisor alive");
         assert!(
             second.quarantined,
             "K = 2 successive kills quarantines the shard"
@@ -2361,7 +1919,7 @@ mod tests {
         );
         // Third submission fails fast — no fresh worker is sacrificed.
         pool.submit(pool_job(2, 9, "k")).expect("pool accepts");
-        let third = pool.recv().expect("supervisor alive");
+        let third = outcomes.recv().expect("supervisor alive");
         assert!(third.quarantined);
         let stats = pool.shutdown();
         assert_eq!(
@@ -2381,14 +1939,14 @@ mod tests {
             quarantine_after: 100, // keep quarantine out of this test
             ..quiet_pool_config(1)
         };
-        let pool = WorkerPool::new(crashing_worker(), config);
+        let (pool, outcomes) = pool_with(crashing_worker(), config);
         for tag in 0..5u64 {
             // Distinct shards: every death feeds the breaker, none the
             // quarantine tally.
             pool.submit(pool_job(tag, tag as usize, "k"))
                 .expect("pool accepts");
         }
-        let outcomes: Vec<PoolOutcome> = (0..5).map(|_| pool.recv().expect("alive")).collect();
+        let outcomes: Vec<PoolOutcome> = (0..5).map(|_| outcomes.recv().expect("alive")).collect();
         assert!(outcomes.iter().all(|o| o.result.is_err()));
         assert!(
             outcomes.iter().any(|o| o.circuit_open),
@@ -2396,7 +1954,7 @@ mod tests {
         );
         assert!(pool.is_tripped());
         // An open circuit refuses new work synchronously — the
-        // caller's cue to degrade to the per-attempt subprocess path.
+        // caller's cue to fail the job fast.
         assert!(pool.submit(pool_job(9, 9, "k")).is_err());
         let stats = pool.shutdown();
         assert!(stats.tripped);
@@ -2415,9 +1973,18 @@ mod tests {
         };
         // Accepts the job, then goes catatonic: no heartbeat, no result.
         let catatonic = WorkerCommand::new("sh", &["-c", "read -r line; sleep 60"]);
-        let pool = WorkerPool::new(catatonic, config);
+        let (pool, outcomes) = pool_with(catatonic, config);
+        let t0 = Instant::now();
         pool.submit(pool_job(0, 3, "k")).expect("pool accepts");
-        let outcome = pool.recv().expect("supervisor alive");
+        let outcome = outcomes.recv().expect("supervisor alive");
+        // The grandchild `sleep` holds the worker's pipes for a minute;
+        // the verdict must not wait for it (the kill takes the whole
+        // process group, and the supervisor never joins a pipe pump).
+        let waited = t0.elapsed();
+        assert!(
+            waited < Duration::from_secs(5),
+            "the supervisor stalled {waited:?} on a worker's descendant"
+        );
         match outcome.result {
             Err(ShardError::Worker { shard, reason }) => {
                 assert_eq!(shard, 3);
@@ -2430,5 +1997,106 @@ mod tests {
         }
         let stats = pool.shutdown();
         assert_eq!(stats.restarts, 1);
+    }
+
+    #[test]
+    fn pool_bounds_live_workers_and_echoes_every_job() {
+        let (pool, outcomes) = pool_with(echo_worker(), quiet_pool_config(2));
+        let jobs = 7usize;
+        for tag in 0..jobs {
+            pool.submit(PoolJob {
+                input: format!("job {tag}"),
+                ..pool_job(tag as u64, tag, "k")
+            })
+            .unwrap();
+        }
+        let mut seen = vec![false; jobs];
+        for _ in 0..jobs {
+            let outcome = outcomes.recv().expect("one outcome per job");
+            assert_eq!(
+                outcome.result.as_deref().unwrap(),
+                format!("job {}", outcome.tag)
+            );
+            assert!(!outcome.timed_out);
+            seen[outcome.tag as usize] = true;
+        }
+        let stats = pool.shutdown();
+        assert!(seen.iter().all(|s| *s), "every job got a verdict");
+        assert_eq!(stats.jobs_done, jobs);
+        assert!(
+            stats.max_live <= 2,
+            "cap 2 exceeded: {} live workers observed",
+            stats.max_live
+        );
+    }
+
+    #[test]
+    fn oversized_job_spec_round_trips_without_blocking_the_spawn_path() {
+        // 1 MiB ≫ any pipe buffer: a synchronous stdin write would
+        // stall the submitting thread until the child drained it; the
+        // writer thread makes submission O(1).
+        let big = "x".repeat(1 << 20);
+        let (pool, outcomes) = pool_with(echo_worker(), quiet_pool_config(2));
+        let t0 = Instant::now();
+        for tag in 0..3u64 {
+            pool.submit(PoolJob {
+                input: big.clone(),
+                ..pool_job(tag, tag as usize, "k")
+            })
+            .unwrap();
+        }
+        let submit_elapsed = t0.elapsed();
+        for _ in 0..3 {
+            let outcome = outcomes.recv().unwrap();
+            assert_eq!(outcome.result.unwrap().len(), big.len());
+        }
+        // Submission only enqueues; generous bound to stay jitter-proof.
+        assert!(
+            submit_elapsed < Duration::from_secs(5),
+            "submission must not block on stdin writes"
+        );
+    }
+
+    #[test]
+    fn straggler_deadline_kills_and_flags_timeout() {
+        let config = PoolConfig {
+            job_deadline: Some(Duration::from_millis(50)),
+            ..quiet_pool_config(1)
+        };
+        let sleeper = WorkerCommand::new("sh", &["-c", "read -r line; sleep 30"]);
+        let (pool, outcomes) = pool_with(sleeper, config);
+        pool.submit(pool_job(9, 4, "k")).unwrap();
+        let outcome = outcomes.recv().unwrap();
+        assert!(outcome.timed_out, "deadline must flag the straggler");
+        match outcome.result {
+            Err(ShardError::Worker { shard, reason }) => {
+                assert_eq!(shard, 4);
+                assert!(
+                    reason.contains("straggler"),
+                    "reason names the kill: {reason}"
+                );
+            }
+            other => panic!("expected a worker error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_worker_names_shard_in_completion_order_drain() {
+        let failer = WorkerCommand::new("sh", &["-c", "read -r line; echo boom >&2; exit 3"]);
+        let (pool, outcomes) = pool_with(failer, quiet_pool_config(2));
+        for index in 0..2usize {
+            pool.submit(pool_job(index as u64, index, "k")).unwrap();
+        }
+        let outcomes: Vec<PoolOutcome> = (0..2).map(|_| outcomes.recv().unwrap()).collect();
+        assert_eq!(outcomes.len(), 2);
+        for outcome in outcomes {
+            match outcome.result {
+                Err(ShardError::Worker { shard, reason }) => {
+                    assert_eq!(shard, outcome.shard_index);
+                    assert!(reason.contains("boom"), "stderr excerpt surfaced: {reason}");
+                }
+                other => panic!("expected failure, got {other:?}"),
+            }
+        }
     }
 }

@@ -22,10 +22,27 @@
 //! per line ([`write_frame`] / [`read_frame`]). Compact serialization
 //! never emits a raw newline (control characters are escaped), so the
 //! framing is unambiguous; blank lines are ignored as keep-alives.
+//!
+//! Frames arrive from untrusted peers, so both decoding steps are
+//! bounded: [`read_frame`] refuses a line longer than
+//! [`MAX_FRAME_BYTES`] (discarding it, so the stream stays in sync)
+//! and [`Value::parse`] refuses nesting deeper than [`MAX_DEPTH`]
+//! instead of recursing until the stack overflows.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// Deepest array/object nesting [`Value::parse`] accepts. Protocol
+/// documents nest a handful of levels; the bound only has to keep the
+/// recursive parser far from the bottom of a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Longest frame [`read_frame`] accepts, in bytes (newline excluded).
+/// Far above the largest legitimate frame (a job padded past 1 MiB, or
+/// a large sweep's result), small enough that one peer cannot make the
+/// service buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// A JSON value (see module docs for the deliberate restrictions).
 #[derive(Debug, Clone, PartialEq)]
@@ -197,8 +214,10 @@ impl Value {
     /// a truncated stream therefore never parses as a shorter value).
     pub fn parse(input: &str) -> Result<Value, WireError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -222,20 +241,50 @@ pub fn write_frame<W: Write>(w: &mut W, v: &Value) -> std::io::Result<()> {
 
 /// Reads the next newline-delimited frame: `None` at EOF, otherwise
 /// the parsed [`Value`] (or the parse/IO error, as a [`WireError`]).
-/// Blank lines are skipped.
+/// Blank lines are skipped. A line longer than [`MAX_FRAME_BYTES`] is
+/// an error; its remainder is discarded, so the next call reads the
+/// next frame.
 pub fn read_frame<R: BufRead>(r: &mut R) -> Option<Result<Value, WireError>> {
     loop {
-        let mut line = String::new();
-        match r.read_line(&mut line) {
+        let mut line = Vec::new();
+        let limit = MAX_FRAME_BYTES as u64 + 1; // room for the newline
+        match r.by_ref().take(limit).read_until(b'\n', &mut line) {
             Err(e) => return Some(Err(WireError(format!("reading frame: {e}")))),
             Ok(0) => return None,
+            Ok(_) if line.len() > MAX_FRAME_BYTES && line.last() != Some(&b'\n') => {
+                discard_line(r);
+                return Some(Err(WireError(format!(
+                    "frame exceeds {MAX_FRAME_BYTES} bytes"
+                ))));
+            }
             Ok(_) => {
-                let trimmed = line.trim();
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return Some(Err(WireError("frame is not valid UTF-8".into())));
+                };
+                let trimmed = text.trim();
                 if trimmed.is_empty() {
                     continue; // keep-alive / stray blank line
                 }
                 return Some(Value::parse(trimmed));
             }
+        }
+    }
+}
+
+/// Skips input up to and including the next newline (or EOF) without
+/// buffering it.
+fn discard_line<R: BufRead>(r: &mut R) {
+    loop {
+        let (found, used) = match r.fill_buf() {
+            Ok([]) | Err(_) => return,
+            Ok(buf) => match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => (true, i + 1),
+                None => (false, buf.len()),
+            },
+        };
+        r.consume(used);
+        if found {
+            return;
         }
     }
 }
@@ -256,15 +305,14 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Option<Result<Value, WireError>> {
 /// Job and result bodies travel as **strings** (the raw job/result
 /// JSON), not nested objects: the supervisor stays payload-agnostic,
 /// and a worker that emits a truncated or corrupt body surfaces as a
-/// decode failure at the orchestration layer naming the shard — exactly
-/// like the one-shot subprocess path.
+/// decode failure at the orchestration layer naming the shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolFrame {
     /// Supervisor → worker: run this job (the body is one job JSON).
     Job {
         /// The worker generation this job is addressed to.
         gen: u64,
-        /// The job description (the worker's one-shot stdin payload).
+        /// The job description (one job JSON document).
         body: String,
     },
     /// Worker → supervisor: periodic liveness beat, emitted by a
@@ -278,8 +326,8 @@ pub enum PoolFrame {
         /// Whether a job is currently being computed.
         busy: bool,
     },
-    /// Worker → supervisor: a completed job (the body is the result
-    /// JSON the one-shot worker would have written to stdout).
+    /// Worker → supervisor: a completed job (the body is one result
+    /// JSON document).
     Result {
         /// The worker's generation.
         gen: u64,
@@ -355,8 +403,11 @@ fn write_json_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -401,8 +452,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.integer(),
             Some(other) => err(format!(
                 "unexpected byte {:?} at {}",
@@ -475,12 +540,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| WireError("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape
+                    // (ASCII, so always a char boundary) in one step.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    s.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -655,6 +722,32 @@ mod tests {
             assert_eq!(&got, expect);
         }
         assert!(read_frame(&mut reader).is_none(), "EOF after last frame");
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting"), "named error: {err}");
+        // Far past the limit (and unbalanced): an error, not an abort.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_and_the_stream_stays_in_sync() {
+        let mut input = vec![b'['; MAX_FRAME_BYTES + 10];
+        input.push(b'\n');
+        write_frame(&mut input, &Value::Int(7)).unwrap();
+        let mut reader = std::io::BufReader::new(input.as_slice());
+        let err = read_frame(&mut reader)
+            .expect("a line is present")
+            .unwrap_err();
+        assert!(err.0.contains("exceeds"), "named error: {err}");
+        let next = read_frame(&mut reader).expect("the next frame survives");
+        assert_eq!(next.unwrap(), Value::Int(7));
+        assert!(read_frame(&mut reader).is_none());
     }
 
     #[test]
