@@ -116,7 +116,7 @@ fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
         let _ = write_frame(&mut out, &event.to_wire());
     };
     let pool = spawn_pool(exe, config);
-    let outcome = resume_job(exe, &pool, path, config, &mut emit);
+    let outcome = resume_job(&pool, path, config, &mut emit);
     pool.shutdown();
     match outcome {
         Ok((id, workload, output, stats)) => {

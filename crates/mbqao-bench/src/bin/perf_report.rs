@@ -11,10 +11,14 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p mbqao-bench --bin perf_report            # full run → BENCH_10.json
-//! cargo run --release -p mbqao-bench --bin perf_report -- --smoke # tiny run (CI)
-//! cargo run --release -p mbqao-bench --bin perf_report -- --out /tmp/bench.json
+//! cargo run --release -p mbqao-bench --bin perf_report -- --pr <n>   # full run → BENCH_<n>.json
+//! cargo run --release -p mbqao-bench --bin perf_report -- --smoke --out smoke.json  # tiny run (CI)
+//! cargo run --release -p mbqao-bench --bin perf_report -- --pr <n> --out /tmp/bench.json
 //! ```
+//!
+//! `--pr <n>` names the trajectory point (the report's `pr` field and
+//! the default output file); without it the report must go to `--out`
+//! and its `pr` field is `null`.
 
 use mbqao_bench::serve::{run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest};
 use mbqao_bench::sweep::{BackendKind, FamilyRef, Fault, Workload};
@@ -23,9 +27,6 @@ use mbqao_core::engine::{Backend, Executor, GateBackend, PatternBackend, PauliBa
 use mbqao_problems::{generators, maxcut, ZPoly};
 use mbqao_qaoa::QaoaAnsatz;
 use std::time::Instant;
-
-/// Which perf-trajectory point this binary produces.
-const PR: u32 = 10;
 
 /// One measured workload: `reps` timed repetitions of `iters` inner
 /// iterations each (after `warmup` untimed repetitions).
@@ -128,11 +129,23 @@ fn main() {
         .iter()
         .position(|a| a == "--only")
         .and_then(|i| args.get(i + 1).cloned());
+    let pr: Option<u32> = args
+        .iter()
+        .position(|a| a == "--pr")
+        .and_then(|i| args.get(i + 1))
+        .map(|n| {
+            n.parse()
+                .unwrap_or_else(|_| panic!("--pr takes a number, got {n:?}"))
+        });
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("{}/../../BENCH_{PR}.json", env!("CARGO_MANIFEST_DIR")));
+        .or_else(|| pr.map(|pr| format!("{}/../../BENCH_{pr}.json", env!("CARGO_MANIFEST_DIR"))))
+        .unwrap_or_else(|| {
+            panic!("usage: perf_report (--pr <n> | --out <path>) [--smoke] [--only <name>]")
+        });
+    let pr_label = pr.map_or_else(|| "null".to_string(), |pr| pr.to_string());
 
     // Scale knobs: --smoke keeps CI fast, the full run is what gets
     // committed. Inner-iteration counts keep each rep ≳ a few ms so
@@ -143,7 +156,7 @@ fn main() {
     let scale = |iters: usize| if smoke { 1 } else { iters };
 
     eprintln!(
-        "perf_report (pr {PR}, {}, {} threads)",
+        "perf_report (pr {pr_label}, {}, {} threads)",
         if smoke { "smoke" } else { "full" },
         rayon::current_num_threads()
     );
@@ -356,7 +369,7 @@ fn main() {
                         faults: &[],
                     };
                     let t0 = Instant::now();
-                    let (out, stats) = run_job_with(&exe, &pool, &spec, &config, None, &mut |_| {})
+                    let (out, stats) = run_job_with(&pool, &spec, &config, None, &mut |_| {})
                         .expect("dispatch job");
                     assert!(stats.max_live <= 2);
                     std::hint::black_box(out);
@@ -527,7 +540,7 @@ fn main() {
             "  \"workloads\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        PR,
+        pr_label,
         smoke,
         rayon::current_num_threads(),
         mbqao_sim::PAR_THRESHOLD,

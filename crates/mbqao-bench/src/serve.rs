@@ -1396,7 +1396,7 @@ pub fn run_job(
         shards,
         faults,
     };
-    let result = run_job_with(exe, &pool, &spec, config, None, emit);
+    let result = run_job_with(&pool, &spec, config, None, emit);
     pool.shutdown();
     result
 }
@@ -1405,10 +1405,8 @@ pub fn run_job(
 /// [`ServePool`] — affinity routing then keeps compiled-pattern caches
 /// warm **across** jobs — and an optional crash-safe journal that
 /// records every landed partial before it is acknowledged. The pool
-/// already knows its worker binary; `_exe` is accepted for call-site
-/// symmetry with [`run_job`].
+/// already knows its worker binary.
 pub fn run_job_with(
-    _exe: &Path,
     pool: &ServePool,
     spec: &JobSpec<'_>,
     config: &ServeConfig,
@@ -1436,10 +1434,8 @@ pub fn run_job_with(
 /// same journal. The final output is bit-identical to the
 /// uninterrupted run. Returns `(id, workload, output, stats)` — the
 /// workload so the caller can run a `--check` against the monolithic
-/// reference. `_exe` is accepted for call-site symmetry, as in
-/// [`run_job_with`].
+/// reference.
 pub fn resume_job(
-    _exe: &Path,
     pool: &ServePool,
     path: &Path,
     config: &ServeConfig,

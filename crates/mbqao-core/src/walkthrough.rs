@@ -3,11 +3,12 @@
 //! [`triangle_pipeline_walkthrough`] replays the full compile → ZX →
 //! simplify → pivot/LC → gflow → deterministic-pattern derivation on the
 //! smallest dense instance (triangle MaxCut, `p = 1`) and renders every
-//! stage as text — rule counts, Graphviz diagrams, the gflow layers and
-//! the final corrected pattern. The output is embedded verbatim in
-//! `docs/PIPELINE.md` (between the `BEGIN GENERATED` / `END GENERATED`
-//! markers) and a repository test regenerates it on every run, so the
-//! documentation cannot drift from the code.
+//! stage as text — rule counts, Graphviz diagrams, the gflow layers, the
+//! width-aware measurement order and the final corrected pattern. The
+//! output is embedded verbatim in `docs/PIPELINE.md` (between the
+//! `BEGIN GENERATED` / `END GENERATED` markers) and a repository test
+//! regenerates it on every run, so the documentation cannot drift from
+//! the code.
 //!
 //! `examples/zx_derivation.rs` prints the same walkthrough.
 
@@ -15,6 +16,7 @@ use crate::cache;
 use crate::compiler::CompileOptions;
 use crate::zx_bridge::{pattern_to_symbolic_diagram, SYM_BASE};
 use mbqao_mbqc::gflow::find_gflow;
+use mbqao_mbqc::schedule::width_aware_order;
 use mbqao_problems::{generators, maxcut};
 use mbqao_zx::extract::to_graph_like;
 use mbqao_zx::simplify::{clifford_simp, simplify};
@@ -159,7 +161,8 @@ pub fn triangle_pipeline_walkthrough() -> String {
     for m in &ext.spec.measures {
         let _ = writeln!(w, "  M_{}^{{{}, {}}}", m.node, m.plane, m.angle);
     }
-    let flow = find_gflow(&ext.spec.open_graph()).expect("triangle extraction has gflow");
+    let og = ext.spec.open_graph();
+    let flow = find_gflow(&og).expect("triangle extraction has gflow");
     let _ = writeln!(
         w,
         "gflow found: {} layers (measured earliest → latest):",
@@ -170,6 +173,11 @@ pub fn triangle_pipeline_walkthrough() -> String {
         sorted.sort_unstable();
         let _ = writeln!(w, "  layer {k}: {sorted:?}");
     }
+    let _ = writeln!(
+        w,
+        "measurement order (width-aware, within the gflow partial order): {:?}",
+        width_aware_order(&og, &flow)
+    );
 
     // Stage 7: the deterministic pattern.
     let _ = writeln!(w, "\n== Stage 7: gflow-corrected deterministic pattern ==");
@@ -188,6 +196,12 @@ pub fn triangle_pipeline_walkthrough() -> String {
         pattern_stats.total_qubits,
         zx_stats.total_qubits,
         pattern_stats.total_qubits as isize - zx_stats.total_qubits as isize
+    );
+    let _ = writeln!(
+        w,
+        "cost: compiled N_E = {}, ZX-extracted N_E = {}; width: compiled max_live = {}, \
+         ZX-extracted max_live = {}",
+        pattern_stats.entangling, zx_stats.entangling, pattern_stats.max_live, zx_stats.max_live
     );
     s
 }

@@ -22,8 +22,9 @@ use crate::plane::Plane;
 use std::collections::HashMap;
 
 /// A gflow: correction sets per measured node plus the layer structure
-/// (layer 0 is measured **last**, i.e. discovery order; see
-/// [`GFlow::measurement_order`]).
+/// (layer 0 is measured **last**, i.e. discovery order). Patterns
+/// measure in [`crate::schedule::width_aware_order`], a linear extension
+/// of the partial order the correction sets induce.
 #[derive(Debug, Clone)]
 pub struct GFlow {
     /// Correction set `g(u)` per measured node.
@@ -33,8 +34,10 @@ pub struct GFlow {
 }
 
 impl GFlow {
-    /// Nodes in a valid measurement order (earliest measured first).
-    pub fn measurement_order(&self) -> Vec<usize> {
+    /// Nodes in a valid measurement order (earliest measured first): one
+    /// whole layer at a time, in node-index order within a layer — the
+    /// order [`verify_gflow`] checks the conditions against.
+    fn measurement_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = Vec::new();
         for layer in self.layers.iter().rev() {
             order.extend(layer.iter().copied());
@@ -136,12 +139,6 @@ pub fn find_gflow(g: &OpenGraph) -> Option<GFlow> {
         let mut layer: Vec<usize> = Vec::new();
         let snapshot = done.clone();
         for u in 0..n {
-            if snapshot.get(u) || done.get(u) && u < n && snapshot.get(u) {
-                continue;
-            }
-            if snapshot.get(u) {
-                continue;
-            }
             if done.get(u) {
                 continue;
             }

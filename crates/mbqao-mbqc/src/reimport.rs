@@ -18,19 +18,21 @@
 //!   renormalize — postselection, not feed-forward.
 //! * [`GraphPatternSpec::to_deterministic_pattern`] finds a **gflow** of
 //!   the spec's open graph ([`crate::gflow::find_gflow`]) and
-//!   re-synthesizes the corrections it certifies: measurements run in
-//!   gflow order with signal-shifted `s`/`t` domains, outputs receive
-//!   explicit `X`/`Z` corrections, and the resulting pattern is
-//!   **strongly deterministic** — every outcome branch yields the same
-//!   output state, so it is per-shot samplable with no `2^{−k}`
-//!   postselection overhead (Browne–Kashefi–Mhalla–Perdrix, refs.
-//!   \[32,33\] of the paper).
+//!   re-synthesizes the corrections it certifies: measurements run in a
+//!   width-aware order within the gflow partial order
+//!   ([`crate::schedule::width_aware_order`]) with signal-shifted `s`/`t`
+//!   domains, outputs receive explicit `X`/`Z` corrections, and the
+//!   resulting pattern is **strongly deterministic** — every outcome
+//!   branch yields the same output state, so it is per-shot samplable
+//!   with no `2^{−k}` postselection overhead (Browne–Kashefi–Mhalla–
+//!   Perdrix, refs. \[32,33\] of the paper).
 
 use crate::command::{Angle, Pauli};
 use crate::gflow::{find_gflow, verify_gflow};
 use crate::opengraph::OpenGraph;
 use crate::pattern::Pattern;
 use crate::plane::Plane;
+use crate::schedule::width_aware_order;
 use crate::signal::Signal;
 use mbqao_sim::QubitId;
 use std::collections::HashMap;
@@ -124,9 +126,11 @@ impl GraphPatternSpec {
     /// postselection).
     ///
     /// Construction (the Browne–Kashefi–Mhalla–Perdrix recipe):
-    /// measurements run in gflow order (earliest layer first); measuring
-    /// `u` with outcome `m_u` owes byproducts `X^{m_u}` to every `w ∈
-    /// g(u)∖{u}` and `Z^{m_u}` to every `w ∈ Odd(g(u))∖{u}`. Byproducts
+    /// measurements run in [`crate::schedule::width_aware_order`] — a
+    /// linear extension of the gflow partial order chosen to keep the
+    /// just-in-time live register small; measuring `u` with outcome
+    /// `m_u` owes byproducts `X^{m_u}` to every `w ∈ g(u)∖{u}` and
+    /// `Z^{m_u}` to every `w ∈ Odd(g(u))∖{u}`. Byproducts
     /// owed to a later-measured qubit are folded into its `s`/`t`
     /// domains through the plane's folding rules
     /// ([`Plane::fold_x`]/[`Plane::fold_z`] — signal shifting);
@@ -160,7 +164,7 @@ impl GraphPatternSpec {
         // Pending byproducts per vertex, accumulated in GF(2).
         let mut sx: Vec<Signal> = vec![Signal::zero(); self.nodes];
         let mut sz: Vec<Signal> = vec![Signal::zero(); self.nodes];
-        for u in flow.measurement_order() {
+        for u in width_aware_order(&og, &flow) {
             let m = meas.get(&u)?; // measured node without a measurement: bail
             let (x_flips, x_adds_pi) = m.plane.fold_x();
             let (z_flips, z_adds_pi) = m.plane.fold_z();
@@ -318,6 +322,80 @@ mod tests {
         let reference = run(&spec.to_pattern(), &[], Branch::Forced(&zeros), &mut rng);
         let wires = spec.output_wires();
         let fid = corrected.state.fidelity(&reference.state, &wires);
+        assert!((fid - 1.0).abs() < 1e-9, "branch 0 must match: {fid}");
+    }
+
+    /// Two XY wires (0–1–2–3 and 4–5–6) joined by a cross edge and a YZ
+    /// gadget hub (7) on their ends: a spec whose gflow has several
+    /// layers. The width-aware order must be a linear extension of the
+    /// gflow partial order, and the pattern synthesized over it must stay
+    /// deterministic on every branch and equal the reference branch.
+    #[test]
+    fn width_aware_order_respects_gflow_on_a_multi_layer_spec() {
+        let xy = |node: usize, a: f64| GraphMeasurement {
+            node,
+            plane: Plane::XY,
+            angle: Angle::constant(a),
+        };
+        let measures = vec![
+            xy(0, 0.3),
+            xy(1, -0.7),
+            xy(2, 1.1),
+            xy(4, 0.5),
+            xy(5, -1.4),
+            GraphMeasurement {
+                node: 7,
+                plane: Plane::YZ,
+                angle: Angle::constant(0.9),
+            },
+        ];
+        let spec = GraphPatternSpec {
+            nodes: 8,
+            edges: vec![
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (4, 5),
+                (5, 6),
+                (1, 5),
+                (7, 2),
+                (7, 6),
+            ],
+            measures,
+            outputs: vec![3, 6],
+            n_params: 0,
+        };
+        let og = spec.open_graph();
+        let flow = find_gflow(&og).expect("spec has gflow");
+        assert!(flow.depth() >= 2, "spec must be multi-layer");
+
+        let order = width_aware_order(&og, &flow);
+        let mut rank = [usize::MAX; 8];
+        for (i, &u) in order.iter().enumerate() {
+            assert_eq!(rank[u], usize::MAX, "{u} measured twice");
+            rank[u] = i;
+        }
+        assert_eq!(order.len(), spec.measures.len());
+        for (&u, k) in &flow.g {
+            let odd = og.odd_neighborhood(k);
+            for w in (0..8).filter(|&w| w != u && (k.get(w) || odd.get(w))) {
+                if !og.outputs().get(w) {
+                    assert!(rank[u] < rank[w], "{u} owes {w} a byproduct");
+                }
+            }
+        }
+
+        let (p, _) = spec.to_deterministic_pattern().expect("spec has gflow");
+        let report = crate::determinism::check_determinism(&p, &State::new(), &[], 1e-8);
+        assert!(report.deterministic, "{report:?}");
+        let zeros = [0u8; 6];
+        let mut rng = StdRng::seed_from_u64(0);
+        let corrected = run(&p, &[], Branch::Forced(&zeros), &mut rng);
+        let mut rng = StdRng::seed_from_u64(0);
+        let reference = run(&spec.to_pattern(), &[], Branch::Forced(&zeros), &mut rng);
+        let fid = corrected
+            .state
+            .fidelity(&reference.state, &spec.output_wires());
         assert!((fid - 1.0).abs() < 1e-9, "branch 0 must match: {fid}");
     }
 

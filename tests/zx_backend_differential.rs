@@ -236,6 +236,36 @@ fn dense_instances_save_qubits_and_stay_correct() {
 }
 
 #[test]
+fn extracted_patterns_run_at_the_direct_patterns_width() {
+    // The ZX extraction trades qubits for entanglers, but its measurement
+    // order keeps the just-in-time live register at the direct pattern's
+    // width (one qubit of slack), so an eval costs the same `2^max_live`
+    // amplitudes on both paths — on every standard family and depth.
+    let mut rng = StdRng::seed_from_u64(1313);
+    for fam in mbqao_bench::standard_families(7) {
+        for p in 1..=3usize {
+            let zx = ZxBackend::new(&fam.cost, p);
+            let r = zx.report();
+            assert!(
+                r.live_savings() >= -1,
+                "{} p={p}: zx max_live {} vs direct {}",
+                fam.name,
+                r.zx.max_live,
+                r.pattern.max_live
+            );
+            let gate = GateBackend::standard(fam.cost.clone(), p);
+            let params: Vec<f64> = (0..2 * p).map(|_| rng.gen_range(-1.5..1.5)).collect();
+            let (eg, ez) = (gate.expectation(&params), zx.expectation(&params));
+            assert!(
+                (eg - ez).abs() < 1e-8,
+                "{} p={p}: gate {eg} vs zx {ez}",
+                fam.name
+            );
+        }
+    }
+}
+
+#[test]
 fn zx_expectation_batch_is_bit_identical_to_pointwise() {
     let cost = maxcut::maxcut_zpoly(&generators::square());
     let exec = Executor::new(ZxBackend::new(&cost, 1));
