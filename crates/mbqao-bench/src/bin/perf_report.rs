@@ -20,9 +20,8 @@
 //! the default output file); without it the report must go to `--out`
 //! and its `pr` field is `null`.
 
-use mbqao_bench::serve::{run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest};
-use mbqao_bench::sweep::{BackendKind, FamilyRef, Fault, Workload};
-use mbqao_core::engine::wire::{write_frame, Value};
+use mbqao_bench::serve::{run_job_with, spawn_pool, JobSpec, ServeConfig};
+use mbqao_bench::sweep::{BackendKind, FamilyRef, Workload};
 use mbqao_core::engine::{Backend, Executor, GateBackend, PatternBackend, PauliBackend, ZxBackend};
 use mbqao_problems::{generators, maxcut, ZPoly};
 use mbqao_qaoa::QaoaAnsatz;
@@ -412,112 +411,6 @@ fn main() {
                     m.reps,
                 );
                 results.push(m);
-            }
-        }
-    }
-
-    // The tentpole of the multi-tenant scheduler: two independent jobs
-    // whose first attempts stall must finish ~2x faster interleaved
-    // over one pool (`max_jobs 2`) than driven serially back to back
-    // (`max_jobs 1`) — the stalls overlap instead of queueing. A/B
-    // reps interleave (1-core hosts jitter ≫ 10%); compare minima.
-    if enabled("multi_job_throughput") {
-        let serve_exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| {
-                Some(
-                    p.parent()?
-                        .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-                )
-            })
-            .filter(|p| p.is_file());
-        match serve_exe {
-            None => eprintln!(
-                "  {:<28} skipped (mbqao-serve binary not built)",
-                "multi_job_throughput"
-            ),
-            Some(exe) => {
-                let stall_ms: u64 = if smoke { 40 } else { 150 };
-                let input = {
-                    let mut buf = Vec::new();
-                    for (id, seed) in [(1u64, 7u64), (2, 11)] {
-                        let req = SubmitRequest {
-                            id,
-                            workload: Workload::Landscape {
-                                family: FamilyRef {
-                                    seed,
-                                    name: "square".into(),
-                                },
-                                backend: BackendKind::Gate,
-                                steps: 2,
-                                gamma: (0.0, 1.0),
-                                beta: (0.0, 1.0),
-                            },
-                            shards: 1,
-                            faults: vec![(0, Fault::Stall(stall_ms))],
-                            check: false,
-                        };
-                        write_frame(&mut buf, &req.to_wire()).expect("compose submit");
-                    }
-                    write_frame(
-                        &mut buf,
-                        &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
-                    )
-                    .expect("compose shutdown");
-                    buf
-                };
-                let run = |max_jobs: usize| {
-                    let config = ServeConfig {
-                        cap: 2,
-                        max_jobs,
-                        log: false,
-                        ..ServeConfig::default()
-                    };
-                    let t0 = Instant::now();
-                    let stats = serve(
-                        std::io::Cursor::new(input.clone()),
-                        std::io::sink(),
-                        &exe,
-                        &config,
-                    );
-                    assert_eq!((stats.done, stats.failed), (2, 0));
-                    t0.elapsed().as_secs_f64()
-                };
-                for _ in 0..warmup.min(1) {
-                    run(2);
-                    run(1);
-                }
-                let mut secs = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-                for _ in 0..reps {
-                    secs.0.push(run(2));
-                    secs.1.push(run(1));
-                }
-                for (name, s) in [
-                    ("multi_job_throughput", secs.0),
-                    ("multi_job_throughput_serial", secs.1),
-                ] {
-                    let m = Measurement {
-                        name,
-                        detail: format!(
-                            "two 1-shard jobs, {stall_ms} ms first-attempt stalls, \
-                             cap-2 pool; interleaved (max_jobs 2) vs serial \
-                             (max_jobs 1), interleaved A/B"
-                        ),
-                        unit: "batch",
-                        iters: 1,
-                        warmup: warmup.min(1),
-                        reps,
-                        secs_per_iter: s,
-                    };
-                    eprintln!(
-                        "  {:<28} {:>12.3} µs/{} (min over {} reps)",
-                        m.name,
-                        m.min() * 1e6,
-                        m.unit,
-                        m.reps
-                    );
-                    results.push(m);
-                }
             }
         }
     }

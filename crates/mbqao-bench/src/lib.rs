@@ -1,7 +1,7 @@
 //! Shared helpers for the benchmark harness and table generators.
 //!
 //! The binaries in `src/bin/` regenerate the paper's quantitative
-//! artifacts; the benches in `benches/` measure the implementation
+//! artifacts, and `perf_report` among them measures the implementation
 //! itself. Execution plumbing lives in `mbqao_core::engine` — this crate
 //! only assembles workloads and formats tables.
 

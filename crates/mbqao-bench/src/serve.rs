@@ -496,7 +496,7 @@ pub struct SubmitRequest {
     pub id: u64,
     /// The sweep to run.
     pub workload: Workload,
-    /// How many shards to partition into.
+    /// How many shards to partition into (at most 2^20 on the wire).
     pub shards: usize,
     /// Injected transient faults, `(shard_index, fault)` (tests).
     pub faults: Vec<(usize, Fault)>,
@@ -544,8 +544,13 @@ impl SubmitRequest {
             Err(_) => 2,
             Ok(s) => s.as_uint()?,
         };
-        if shards == 0 {
-            return Err(WireError("shards must be >= 1".into()));
+        // Above the stride a job's indices would alias another job's
+        // quarantine namespace, and `Shard::partition` would allocate
+        // `shards` entries on the scheduler thread every tenant shares.
+        if !(1..=JOB_NS_STRIDE).contains(&shards) {
+            return Err(WireError(format!(
+                "shards must be in 1..={JOB_NS_STRIDE}, got {shards}"
+            )));
         }
         let check = match v.field("check") {
             Err(_) => false,

@@ -300,13 +300,11 @@ fn serve_binary_round_trips_a_job_over_stdio() {
     );
 }
 
-/// A frame nested 200 000 levels deep must not overflow the parser's
-/// stack and abort the whole service (taking every tenant's job with
-/// it): it is answered with `rejected` while the same connection keeps
-/// serving — `ping` → `pong`, then a checked submit → a bit-identical
-/// `done`.
-#[test]
-fn deep_frame_is_rejected_and_the_service_keeps_serving() {
+/// Writes `poison` to a spawned `mbqao-serve`, then `ping` and a
+/// checked submit, and asserts the service answered exactly `poison`
+/// with `rejected` while the same connection kept serving: `ping` →
+/// `pong`, then the submit → a bit-identical `done`.
+fn assert_rejected_and_the_service_keeps_serving(poison: &[u8]) {
     use std::process::{Command, Stdio};
 
     let request = SubmitRequest {
@@ -325,7 +323,7 @@ fn deep_frame_is_rejected_and_the_service_keeps_serving() {
         .expect("spawning mbqao-serve");
     {
         let mut stdin = child.stdin.take().expect("stdin piped");
-        stdin.write_all(&[b'['; 200_000]).unwrap();
+        stdin.write_all(poison).unwrap();
         stdin.write_all(b"\n").unwrap();
         write_frame(
             &mut stdin,
@@ -349,16 +347,40 @@ fn deep_frame_is_rejected_and_the_service_keeps_serving() {
     assert_eq!(
         types.iter().filter(|t| **t == "rejected").count(),
         1,
-        "exactly the deep frame is rejected: {types:?}"
+        "exactly the poison frame is rejected: {types:?}"
     );
     assert!(types.contains(&"pong"));
     let done = frames
         .iter()
         .find(|f| f.field("type").unwrap().as_str().unwrap() == "done")
-        .expect("the submit after the deep frame must finish");
+        .expect("the submit after the poison frame must finish");
     assert_eq!(done.field("id").unwrap().as_uint().unwrap(), 3);
     assert!(done.field("bit_identical").unwrap().as_bool().unwrap());
     assert_eq!(types.last(), Some(&"bye"));
+}
+
+/// A frame nested 200 000 levels deep must not overflow the parser's
+/// stack and abort the whole service (taking every tenant's job with
+/// it).
+#[test]
+fn deep_frame_is_rejected_and_the_service_keeps_serving() {
+    assert_rejected_and_the_service_keeps_serving(&[b'['; 200_000]);
+}
+
+/// A submit asking for 2^40 shards must not make the scheduler thread
+/// allocate a 2^40-entry partition (an allocation failure aborts the
+/// whole service), nor take indices beyond its job's quarantine
+/// namespace.
+#[test]
+fn oversized_shards_submit_is_rejected_and_the_service_keeps_serving() {
+    let oversized = SubmitRequest {
+        id: 4,
+        workload: workload(),
+        shards: 1 << 40,
+        faults: vec![],
+        check: true,
+    };
+    assert_rejected_and_the_service_keeps_serving(oversized.to_wire().to_json().as_bytes());
 }
 
 /// Workers that always crash trip the pool's circuit breaker. The job
